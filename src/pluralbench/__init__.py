@@ -50,7 +50,6 @@ from .classifiers import (
     GcmParams,
     MlpModel,
     evaluate,
-    gcm_accuracy,
     gcm_classify,
     gcm_decide_batch,
     gcm_optimize_scale,
@@ -138,7 +137,6 @@ __all__ = [
     "nn_leave_one_out",
     "gcm_classify",
     "gcm_decide_batch",
-    "gcm_accuracy",
     "gcm_optimize_scale",
     "mlp_train",
     "mlp_classify",

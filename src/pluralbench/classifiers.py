@@ -28,19 +28,38 @@ def _class_order(labels) -> list:
     return sorted(counts, key=lambda c: (-counts[c], str(c)))
 
 
-def _sq_distances(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """(len(Q), len(X)) squared Euclidean distances.
+def _sq_distances(X: np.ndarray, Q: np.ndarray, x2=None, out=None) -> np.ndarray:
+    """(len(Q), len(X)) squared Euclidean distances, computed in ``out`` if given.
 
-    Uses the ||x||^2 - 2 x.q + ||q||^2 expansion so the working set stays
-    at one matrix instead of a (queries, exemplars, dim) block.  Exact for
-    small-integer-valued vectors (binary feature bundles), and the single
-    shared formula keeps tie behaviour identical across every code path.
+    ||x||^2 - 2 x.q + ||q||^2 in place on one matrix (``x2``: exemplar norms,
+    if known).  Exact for small-integer-valued vectors (binary feature
+    bundles); the one shared formula keeps ties identical on every path.
     """
-    x2 = np.einsum("ij,ij->i", X, X)
+    if x2 is None:
+        x2 = np.einsum("ij,ij->i", X, X)
     q2 = np.einsum("ij,ij->i", Q, Q)
-    sq = x2[None, :] - 2.0 * (Q @ X.T) + q2[:, None]
+    sq = np.dot(Q, X.T, out=out)
+    sq *= 2.0
+    np.subtract(x2, sq, out=sq)
+    sq += q2[:, None]
     np.maximum(sq, 0.0, out=sq)
     return sq
+
+
+def _distance_blocks(X: np.ndarray, Q: np.ndarray):
+    """Yield (start, squared distances) per _BLOCK-row slice of Q, every
+    block in the same buffer: use one before asking for the next."""
+    x2 = np.einsum("ij,ij->i", X, X)
+    buf = np.empty((min(_BLOCK, len(Q)), len(X)), dtype=np.float64)
+    for start in range(0, len(Q), _BLOCK):
+        block = Q[start : start + _BLOCK]
+        yield start, _sq_distances(X, block, x2, buf[: len(block)])
+
+
+def _nearest_ranks(sq: np.ndarray, label_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: lowest class rank among the nearest exemplars, and their squared distance."""
+    best = sq.min(axis=1)
+    return np.array([label_rank[np.flatnonzero(r == b)].min() for r, b in zip(sq, best)]), best
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,15 +149,10 @@ def nn_decide_batch(memory: ExemplarMemory, queries) -> tuple[list, np.ndarray]:
         raise ValueError("queries must be a 2-D array matching memory dim")
     decisions = []
     distances = np.empty(len(Q), dtype=np.float64)
-    n_rank = memory.label_rank
-    for start in range(0, len(Q), _BLOCK):
-        block = Q[start : start + _BLOCK]
-        sq = _sq_distances(memory.vectors, block)
-        best = sq.min(axis=1)
-        for row in range(len(block)):
-            candidates = np.flatnonzero(sq[row] == best[row])
-            decisions.append(memory.class_set[n_rank[candidates].min()])
-        distances[start : start + len(block)] = np.sqrt(best)
+    for start, sq in _distance_blocks(memory.vectors, Q):
+        ranks, best = _nearest_ranks(sq, memory.label_rank)
+        decisions.extend(memory.class_set[r] for r in ranks)
+        distances[start : start + len(best)] = np.sqrt(best)
     return decisions, distances
 
 
@@ -147,22 +161,12 @@ def nn_leave_one_out(nouns: list[EncodedNoun]) -> float:
     if len(nouns) < 2:
         raise ValueError("leave-one-out requires at least 2 entries")
     memory = ExemplarMemory.from_encoded(nouns)
-    X = memory.vectors
-    rank = memory.label_rank
     correct = 0
-    for start in range(0, len(X), _BLOCK):
-        block = X[start : start + _BLOCK]
-        sq = _sq_distances(X, block)
-        for row in range(len(block)):
-            i = start + row
-            d = sq[row].copy()
-            d[i] = np.inf
-            best = d.min()
-            candidates = np.flatnonzero(d == best)
-            decision = memory.class_set[rank[candidates].min()]
-            if decision == memory.labels[i]:
-                correct += 1
-    return correct / len(X)
+    for start, sq in _distance_blocks(memory.vectors, memory.vectors):
+        np.fill_diagonal(sq[:, start:], np.inf)  # each item's distance to itself
+        ranks, _ = _nearest_ranks(sq, memory.label_rank)
+        correct += int(np.count_nonzero(ranks == memory.label_rank[start : start + len(sq)]))
+    return correct / len(memory)
 
 
 # --------------------------------------------------------------------------
@@ -199,10 +203,8 @@ class GcmParams:
                 raise ValueError("biases must sum to 1")
 
 
-def _gcm_prob_matrix(memory: ExemplarMemory, params: GcmParams, Q: np.ndarray) -> np.ndarray:
-    """(n_queries, n_classes) probability matrix, classes in canonical order."""
-    n_classes = len(memory.class_set)
-    d = np.sqrt(_sq_distances(memory.vectors, Q))
+def _gcm_block_probs(memory: ExemplarMemory, params: GcmParams, d: np.ndarray) -> np.ndarray:
+    """(rows, n_classes) probabilities from a block of distances d."""
     expo = (d / params.s) ** params.p
     # subtract the per-query minimum exponent: rescales every class score
     # by the same factor, so probabilities are unchanged but far queries
@@ -214,13 +216,32 @@ def _gcm_prob_matrix(memory: ExemplarMemory, params: GcmParams, Q: np.ndarray) -
         if like.shape != (len(memory),):
             raise ValueError("likelihoods must have one weight per exemplar")
         eta = eta * like
-    onehot = np.zeros((len(memory), n_classes), dtype=np.float64)
+    onehot = np.zeros((len(memory), len(memory.class_set)), dtype=np.float64)
     onehot[np.arange(len(memory)), memory.label_rank] = 1.0
     strengths = eta @ onehot
     if params.biases is not None:
         b = np.array([params.biases.get(c, 0.0) for c in memory.class_set], dtype=np.float64)
         strengths = strengths * b
     return strengths / strengths.sum(axis=1, keepdims=True)
+
+
+def _gcm_prob_matrix(memory: ExemplarMemory, params: GcmParams, Q: np.ndarray) -> np.ndarray:
+    """(n_queries, n_classes) probability matrix, classes in canonical order."""
+    return _gcm_block_probs(memory, params, np.sqrt(_sq_distances(memory.vectors, Q)))
+
+
+def _gcm_decide_scales(memory: ExemplarMemory, params_list, queries) -> list:
+    """One distance pass serving several parameter sets: per entry of
+    ``params_list``, its (class ranks, max probabilities) arrays."""
+    Q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
+    results = [(np.empty(len(Q), dtype=np.intp), np.empty(len(Q))) for _ in params_list]
+    for start, sq in _distance_blocks(memory.vectors, Q):
+        d = np.sqrt(sq, out=sq)
+        for params, (ranks, max_probs) in zip(params_list, results):
+            probs = _gcm_block_probs(memory, params, d)
+            ranks[start : start + len(d)] = np.argmax(probs, axis=1)
+            max_probs[start : start + len(d)] = probs.max(axis=1)
+    return results
 
 
 def gcm_classify(memory: ExemplarMemory, params: GcmParams, query) -> ClassifierResponse:
@@ -239,38 +260,32 @@ def gcm_classify(memory: ExemplarMemory, params: GcmParams, query) -> Classifier
 
 
 def gcm_decide_batch(memory: ExemplarMemory, params: GcmParams, queries) -> tuple[list, np.ndarray]:
-    """Vectorized decisions and max-probabilities over query rows."""
-    Q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
-    decisions = []
-    max_probs = np.empty(len(Q), dtype=np.float64)
-    for start in range(0, len(Q), _BLOCK):
-        probs = _gcm_prob_matrix(memory, params, Q[start : start + _BLOCK])
-        idx = np.argmax(probs, axis=1)
-        decisions.extend(memory.class_set[i] for i in idx)
-        max_probs[start : start + len(probs)] = probs[np.arange(len(probs)), idx]
-    return decisions, max_probs
+    """Per-row decisions and max probabilities: _gcm_decide_scales at one scale."""
+    [(ranks, max_probs)] = _gcm_decide_scales(memory, [params], queries)
+    return [memory.class_set[r] for r in ranks], max_probs
 
 
-def gcm_accuracy(memory: ExemplarMemory, params: GcmParams, eval_set: list[EncodedNoun]) -> float:
-    decisions, _ = gcm_decide_batch(memory, params, [n.vector for n in eval_set])
-    return sum(d == n.label for d, n in zip(decisions, eval_set)) / len(eval_set)
+def _class_ranks(memory: ExemplarMemory, nouns: list[EncodedNoun]) -> np.ndarray:
+    """Each noun's label as an index into memory.class_set; -1 if absent."""
+    index = {c: i for i, c in enumerate(memory.class_set)}
+    return np.array([index.get(n.label, -1) for n in nouns], dtype=np.intp)
 
 
 def gcm_optimize_scale(
     memory: ExemplarMemory, eval_set: list[EncodedNoun], p: int, grid
 ) -> tuple[float, float]:
     """Grid point maximizing eval-set accuracy; ties go to the smallest s."""
-    grid = list(grid)
+    grid = sorted(grid)
     if not grid:
         raise ValueError("scale grid must be non-empty")
     if not eval_set:
         raise ValueError("eval_set must be non-empty")
-    best = None
-    for s in sorted(grid):
-        acc = gcm_accuracy(memory, GcmParams(s=s, p=p), eval_set)
-        if best is None or acc > best[1]:
-            best = (s, acc)
-    return best
+    params_list = [GcmParams(s=s, p=p) for s in grid]
+    results = _gcm_decide_scales(memory, params_list, [n.vector for n in eval_set])
+    truth = _class_ranks(memory, eval_set)
+    accs = [int(np.count_nonzero(ranks == truth)) / len(eval_set) for ranks, _ in results]
+    first_best = accs.index(max(accs))
+    return grid[first_best], accs[first_best]
 
 
 # --------------------------------------------------------------------------

@@ -79,9 +79,11 @@ def expand_grid(spec) -> list[float]:
             start, stop, step = spec["start"], spec["stop"], spec["step"]
         except KeyError as exc:
             raise ConfigError(f"grid range missing key {exc}")
+        if not all(type(v) in (int, float) for v in (start, stop, step)):
+            raise ConfigError("grid range start, stop and step must be numbers")
         if step <= 0 or stop < start:
             raise ConfigError("grid range requires step > 0 and stop >= start")
-        n = int(round((stop - start) / step)) + 1
+        n = int((stop - start) / step * (1 + 1e-9)) + 1
         return [float(start + i * step) for i in range(n)]
     raise ConfigError(f"cannot interpret grid spec {spec!r}")
 
@@ -130,6 +132,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown keys in '{key}' section: {sorted(extra)}")
             merged[key] = section
         if "classifiers" in merged:
+            if not isinstance(merged["classifiers"], (list, tuple)):
+                raise ConfigError("classifiers must be a list of names")
             merged["classifiers"] = tuple(merged["classifiers"])
         cfg = cls(**merged)
         cfg.validate()
@@ -144,10 +148,18 @@ class ExperimentConfig:
             raise ConfigError("split_fraction must lie strictly between 0 and 1")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must lie strictly between 0 and 1")
-        if self.slots < 1:
-            raise ConfigError("slots must be >= 1")
+        if type(self.slots) is not int or self.slots < 1:
+            raise ConfigError("slots must be an integer >= 1")
+        if type(self.split_seed) is not int or self.split_seed < 0:
+            raise ConfigError("split_seed must be a non-negative integer")
         if not 0.0 <= self.filter_min_fraction <= 1.0:
             raise ConfigError("filter_min_fraction must lie in [0, 1]")
+        if self.gcm["kernel_p"] not in (1, 2):
+            raise ConfigError("gcm.kernel_p must be 1 or 2")
+        if type(self.mlp["rate"]) not in (int, float) or self.mlp["rate"] <= 0:
+            raise ConfigError("mlp.rate must be a positive number")
+        if type(self.mlp["momentum"]) not in (int, float) or self.mlp["momentum"] < 0:
+            raise ConfigError("mlp.momentum must be a non-negative number")
         bad = [c for c in self.classifiers if c not in ("nn", "gcm", "mlp")]
         if bad:
             raise ConfigError(f"unknown classifiers: {bad}")
@@ -315,10 +327,6 @@ def _selection_sets(config: ExperimentConfig, data: DataSplit):
 
 def _strip_default(nouns, default_class):
     return [n for n in nouns if n.label != default_class]
-
-
-def _accuracy(decisions, nouns):
-    return sum(d == n.label for d, n in zip(decisions, nouns)) / len(nouns)
 
 
 def _run_nn(config, data, outdir):

@@ -19,6 +19,8 @@ from .classifiers import (
     ExemplarMemory,
     GcmParams,
     MlpModel,
+    _class_ranks,
+    _gcm_decide_scales,
     gcm_classify,
     gcm_decide_batch,
     mlp_classify,
@@ -96,18 +98,21 @@ def _base_scores(config: HybridConfig, model, queries):
     return mlp_decide_batch(model, queries)
 
 
-def _apply_threshold(config: HybridConfig, decisions, scores, t: float):
-    if config.base == "nn":
-        use_memory = scores < t
-    else:
-        use_memory = scores > t
-    return [d if ok else config.default_class for d, ok in zip(decisions, use_memory)]
+def _use_memory(base: str, scores: np.ndarray, t: float) -> np.ndarray:
+    return scores < t if base == "nn" else scores > t
+
+
+def _hybrid_accuracy(use_memory, memory_right, default_right) -> float:
+    """Accuracy when use_memory queries take memory's answer and the others the default."""
+    right = np.where(use_memory, memory_right, default_right)
+    return int(np.count_nonzero(right)) / len(right)
 
 
 def hybrid_decide_batch(config: HybridConfig, model, queries) -> list:
     """Hybrid decisions for query rows at the config's threshold."""
     decisions, scores = _base_scores(config, model, queries)
-    return _apply_threshold(config, decisions, scores, config.t)
+    use_memory = _use_memory(config.base, scores, config.t)
+    return [d if ok else config.default_class for d, ok in zip(decisions, use_memory)]
 
 
 def threshold_sweep(
@@ -129,13 +134,13 @@ def threshold_sweep(
         raise ValueError("threshold grid must be non-empty")
     if not test_set:
         raise ValueError("test_set must be non-empty")
-    labels = [n.label for n in test_set]
     decisions, scores = _base_scores(config, model, [n.vector for n in test_set])
+    memory_right = np.array([d == n.label for d, n in zip(decisions, test_set)], dtype=bool)
+    default_right = np.array([config.default_class == n.label for n in test_set], dtype=bool)
     points = []
     for t in sorted(t_grid):
-        hybrid = _apply_threshold(config, decisions, scores, t)
-        acc = sum(h == l for h, l in zip(hybrid, labels)) / len(labels)
-        points.append((float(t), acc))
+        use_memory = _use_memory(config.base, scores, t)
+        points.append((float(t), _hybrid_accuracy(use_memory, memory_right, default_right)))
     return SweepCurve(points=points, baseline=baseline)
 
 
@@ -158,16 +163,14 @@ def grid_search_s_t(
         raise ValueError("grids must be non-empty")
     if not test_set:
         raise ValueError("test_set must be non-empty")
-    labels = [n.label for n in test_set]
-    queries = np.array([n.vector for n in test_set], dtype=np.float64)
+    queries = [n.vector for n in test_set]
+    results = _gcm_decide_scales(memory_no_default, [GcmParams(s=s, p=p) for s in s_grid], queries)
+    truth = _class_ranks(memory_no_default, test_set)
+    default_right = np.array([default_class == n.label for n in test_set], dtype=bool)
     best = None
-    for s in s_grid:
-        decisions, max_probs = gcm_decide_batch(memory_no_default, GcmParams(s=s, p=p), queries)
+    for s, (ranks, max_probs) in zip(s_grid, results):
         for t in t_grid:
-            hybrid = [
-                d if mp > t else default_class for d, mp in zip(decisions, max_probs)
-            ]
-            acc = sum(h == l for h, l in zip(hybrid, labels)) / len(labels)
+            acc = _hybrid_accuracy(max_probs > t, ranks == truth, default_right)
             key = (-acc, t, s)
             if best is None or key < best[0]:
                 best = (key, (float(s), float(t), acc))

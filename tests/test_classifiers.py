@@ -10,6 +10,8 @@ from pluralbench.classifiers import (
     ExemplarMemory,
     GcmParams,
     MlpModel,
+    _gcm_decide_scales,
+    _gcm_prob_matrix,
     _mlp_train_checkpoints,
     _sq_distances,
     evaluate,
@@ -161,6 +163,55 @@ def test_leave_one_out_matches_brute_force():
         nn_leave_one_out(_nouns(X[:1], labels[:1]))
 
 
+def _hamming_nn_oracle(X, labels, q, skip=None):
+    """Class of the nearest row of binary X by Hamming distance, with exact
+    ties going to the class with more items in ``labels``, then by name."""
+    counts = {c: labels.count(c) for c in set(labels)}
+    dists = [
+        math.inf if j == skip else int(np.count_nonzero(X[j] != q)) for j in range(len(X))
+    ]
+    best = min(dists)
+    tied = {labels[j] for j in range(len(X)) if dists[j] == best}
+    return min(tied, key=lambda c: (-counts[c], c)), math.sqrt(best)
+
+
+def test_nn_exact_ties_across_unequal_classes_on_binary_vectors():
+    # the query is at Hamming distance 1 from one "a" and one "z"; "z" has
+    # more exemplars, so it outranks the alphabetically first "a"
+    X = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 1], [1, 1, 1, 0]], dtype=np.float64)
+    labels = ["a", "z", "z", "z"]
+    memory = ExemplarMemory.from_pairs(X, labels)
+    decisions, distances = nn_decide_batch(memory, np.zeros((1, 4)))
+    assert decisions == ["z"] and distances.tolist() == [1.0]
+    # leave-one-out: items 0 and 3 each tie an "a" and a "z" neighbour and
+    # are right only if "z" wins; item 1 ("a") is nearest to a "z"
+    X = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 1]], dtype=np.float64)
+    assert nn_leave_one_out(_nouns(X, ["z", "a", "z", "z"])) == 0.75
+
+    rng = np.random.default_rng(40)
+    X = rng.integers(0, 2, size=(120, 7)).astype(np.float64)
+    labels = [["a", "m", "z"][int(i)] for i in rng.choice(3, 120, p=[0.2, 0.3, 0.5])]
+    memory = ExemplarMemory.from_pairs(X, labels)
+    Q = rng.integers(0, 2, size=(300, 7)).astype(np.float64)
+    decisions, distances = nn_decide_batch(memory, Q)
+    for q, d, dist in zip(Q, decisions, distances):
+        assert (d, dist) == _hamming_nn_oracle(X, labels, q)
+
+
+def test_leave_one_out_crosses_block_edge_against_oracle():
+    # more than one 256-row block, short binary vectors so that exact ties
+    # and duplicate rows are common: a wrong self-exclusion index in any
+    # block after the first changes the count
+    rng = np.random.default_rng(41)
+    n = 330
+    X = rng.integers(0, 2, size=(n, 9)).astype(np.float64)
+    labels = [["a", "b", "c"][int(i)] for i in rng.choice(3, n, p=[0.5, 0.3, 0.2])]
+    correct = sum(
+        _hamming_nn_oracle(X, labels, X[i], skip=i)[0] == labels[i] for i in range(n)
+    )
+    assert nn_leave_one_out(_nouns(X, labels)) == correct / n
+
+
 # --------------------------------------------------------------------------
 # Generalized Context Model
 # --------------------------------------------------------------------------
@@ -265,6 +316,29 @@ def test_gcm_batch_matches_single():
         response = gcm_classify(memory, params, Q[qi])
         assert decisions[qi] == response.decision
         assert max_probs[qi] == pytest.approx(float(response.scores.max()), abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_gcm_scales_share_one_pass_bit_for_bit(p):
+    # more than one 256-row block of fractional queries; every scale must
+    # equal gcm_decide_batch at that scale and the per-block probability
+    # matrix it replaced, exactly
+    rng = np.random.default_rng(42)
+    X = rng.uniform(0, 1, size=(70, 5))
+    labels = [f"c{int(i)}" for i in rng.integers(0, 4, 70)]
+    memory = ExemplarMemory.from_pairs(X, labels)
+    Q = rng.uniform(0, 1, size=(300, 5))
+    params_list = [GcmParams(s=s, p=p) for s in (0.05, 0.3, 1.0, 4.0)]
+    results = _gcm_decide_scales(memory, params_list, Q)
+    for params, (ranks, max_probs) in zip(params_list, results):
+        decisions, batch_probs = gcm_decide_batch(memory, params, Q)
+        assert decisions == [memory.class_set[r] for r in ranks]
+        assert np.array_equal(max_probs, batch_probs)
+        probs = np.concatenate(
+            [_gcm_prob_matrix(memory, params, Q[i : i + 256]) for i in range(0, len(Q), 256)]
+        )
+        assert np.array_equal(ranks, np.argmax(probs, axis=1))
+        assert np.array_equal(max_probs, probs.max(axis=1))
 
 
 def test_gcm_params_validation():

@@ -151,6 +151,27 @@ def test_exit_code_1_config_errors(tmp_path, capsys):
     assert main(["ingest"]) == 1  # no lexicon from flag or config
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"mlp": {**SMALL_CONFIG["mlp"], "rate": 0}}, "mlp.rate"),
+        ({"mlp": {**SMALL_CONFIG["mlp"], "momentum": -0.5}}, "mlp.momentum"),
+        ({"gcm": {**SMALL_CONFIG["gcm"], "kernel_p": 3}}, "kernel_p"),
+        ({"split_seed": -1}, "split_seed"),
+        ({"slots": 2.5}, "slots"),
+        ({"slots": "5"}, "slots"),
+        ({"classifiers": "nn"}, "classifiers must be a list"),
+    ],
+)
+def test_exit_code_1_invalid_config_values(tmp_path, capsys, overrides, message):
+    config = _write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["report", "--config", config, "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert not (out / "report.json").exists()
+
+
 def test_exit_code_2_data_errors(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("Hund\th ʊ n t\n", encoding="utf-8")

@@ -1,6 +1,9 @@
 """Experiment configuration, report assembly, and the full pipeline run."""
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -56,12 +59,34 @@ def test_expand_grid_forms():
     ]
     assert expand_grid({"start": 5, "stop": 5, "step": 1}) == [5.0]
     assert _expand_int_grid({"start": 5, "stop": 50, "step": 5}) == list(range(5, 51, 5))
+    # a range never passes stop
+    assert expand_grid({"start": 0, "stop": 1, "step": 0.6}) == [0.0, 0.6]
+    assert expand_grid({"start": 0.0, "stop": 0.35, "step": 0.1}) == [
+        0.0, 0.1, 0.2, 0.30000000000000004,
+    ]
+
+
+def test_default_grids_keep_their_values():
+    def points(start, step, n):
+        return [start + i * step for i in range(n)]
+
+    assert expand_grid(DEFAULT_NN["t_grid"]) == points(0.0, 0.05, 201)
+    assert expand_grid(DEFAULT_NN["t_grid"])[3] == 0.15000000000000002
+    assert expand_grid(DEFAULT_GCM["s_grid"]) == points(1.4, 0.01, 11)
+    assert expand_grid(DEFAULT_GCM["hybrid_s_grid"]) == points(1.4, 0.01, 11)
+    assert expand_grid(DEFAULT_GCM["t_grid"]) == points(0.0, 0.01, 101)
+    assert expand_grid(DEFAULT_MLP["t_grid"]) == points(0.0, 0.01, 101)
+    assert _expand_int_grid(DEFAULT_MLP["epochs"]) == list(range(5, 51, 5))
+    # the synth command's default threshold grid
+    assert expand_grid({"start": 0.0, "stop": 5.0, "step": 0.05}) == points(0.0, 0.05, 101)
 
 
 @pytest.mark.parametrize(
     "spec",
     [[], {"start": 0.0, "stop": 1.0}, {"start": 0, "stop": 1, "step": 0},
-     {"start": 2, "stop": 1, "step": 1}, "0:1:0.1"],
+     {"start": 2, "stop": 1, "step": 1}, "0:1:0.1",
+     {"start": False, "stop": 1, "step": 0.5}, {"start": 0, "stop": True, "step": 0.5},
+     {"start": 0, "stop": 1, "step": True}, {"start": "0", "stop": 1, "step": 0.5}],
 )
 def test_expand_grid_rejects(spec):
     with pytest.raises(ConfigError):
@@ -228,6 +253,27 @@ def test_run_experiment_artifacts(toy_report):
     sweep = (outdir / "mlp_sweep.csv").read_text(encoding="utf-8").splitlines()
     assert sweep[0] == "hidden,epochs,seed,test_accuracy"
     assert len(sweep) == 1 + 2  # one hidden count x two epoch marks x one seed
+
+
+def test_run_experiment_matches_golden_toy_digests(tmp_path, monkeypatch):
+    """The small toy config at split seed 7 reproduces the recorded
+    artifact bytes.  Relative paths keep the config digest, and so
+    report.json, independent of where the test runs."""
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "toy_digests.json").read_text(encoding="utf-8")
+    )
+    shutil.copy(TOY, tmp_path / "toy_lexicon.tsv")
+    monkeypatch.chdir(tmp_path)
+    run_experiment(ExperimentConfig.from_dict(
+        {"lexicon": "toy_lexicon.tsv", "output_dir": "out", "split_seed": 7, **SMALL_SECTIONS}
+    ))
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in Path("out").iterdir()
+    }
+    differing = sorted(
+        name for name in set(golden) | set(digests) if golden.get(name) != digests.get(name)
+    )
+    assert not differing, f"artifacts differing from tests/golden/toy_digests.json: {differing}"
 
 
 def test_run_experiment_subset_of_classifiers(tmp_path):

@@ -116,6 +116,33 @@ def test_threshold_sweep_endpoints():
     assert [t for t, _ in curve.points] == [0.0, 2.0, 1e9]
 
 
+def test_threshold_sweep_is_strict_at_attained_values():
+    # nn: distances exactly 1 and 2 reach memory only when t exceeds them
+    memory = ExemplarMemory.from_pairs([[0.0, 0.0]], ["m"])
+    test_set = _nouns([[1.0, 0.0], [2.0, 0.0]], ["m", "m"])
+    config = HybridConfig(base="nn", t=0.0, default_class="d")
+    curve = threshold_sweep(config, memory, test_set, [1.0, 2.0, 2.0 + 1e-9])
+    assert curve.points == [(1.0, 0.0), (2.0, 0.5), (2.0 + 1e-9, 1.0)]
+
+    # gcm: an equidistant query attains max probability exactly 0.5
+    memory = ExemplarMemory.from_pairs([[0.0, 0.0], [2.0, 0.0]], ["a", "b"])
+    config = HybridConfig(base="gcm", t=0.0, default_class="d", gcm_params=GcmParams(s=1.0))
+    curve = threshold_sweep(config, memory, _nouns([[1.0, 0.0]], ["a"]), [0.499, 0.5])
+    assert curve.points == [(0.499, 1.0), (0.5, 0.0)]
+
+    # mlp: zero weights make every activation exactly 0.5
+    model = MlpModel(
+        w_hidden=np.zeros((2, 2)),
+        b_hidden=np.zeros(2),
+        w_output=np.zeros((2, 2)),
+        b_output=np.zeros(2),
+        class_set=["a", "b"],
+    )
+    config = HybridConfig(base="mlp", t=0.0, default_class="d")
+    curve = threshold_sweep(config, model, _nouns([[1.0, 1.0]], ["a"]), [0.5, 0.499])
+    assert curve.points == [(0.499, 1.0), (0.5, 0.0)]
+
+
 def test_threshold_sweep_validation():
     memory = ExemplarMemory.from_pairs([[0.0]], ["a"])
     config = HybridConfig(base="nn", t=0.0, default_class="d")
@@ -157,5 +184,22 @@ def test_grid_search_tie_breaks_to_smaller_t_then_s():
     assert (s, t, acc) == (1.0, 0.3, 1.0)  # full tie across t < 1: smallest wins
     with pytest.raises(ValueError):
         grid_search_s_t(memory, all_m, [], [0.5], "d")
+    with pytest.raises(ValueError):
+        grid_search_s_t(memory, all_m, [-1.0], [0.5], "d")
+
+
+def test_grid_search_smaller_s_wins_only_at_larger_t():
+    # "a" at 0 and "b" at 4; the "a" query should reach memory, the "d"
+    # query should default.  At s=1 both probabilities are high (0.9997,
+    # 0.69), so only t=0.8 separates them; at s=4 they are flat (0.62,
+    # 0.51), so t=0.6 already does.  Both reach accuracy 1, and the
+    # smaller t wins the tie even though it belongs to the larger s.
+    memory = ExemplarMemory.from_pairs([[0.0], [4.0]], ["a", "b"])
+    test_set = _nouns([[1.0], [1.9]], ["a", "d"])
+    assert grid_search_s_t(memory, test_set, [4.0, 1.0], [0.3, 0.6, 0.8], "d") == (
+        4.0, 0.6, 1.0,
+    )
+    # without s=4 the best cell is the smaller s at the larger t
+    assert grid_search_s_t(memory, test_set, [1.0], [0.3, 0.6, 0.8], "d") == (1.0, 0.8, 1.0)
     with pytest.raises(ValueError):
         grid_search_s_t(memory, [], [1.0], [0.5], "d")
