@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -46,11 +47,40 @@ def _sq_distances(X: np.ndarray, Q: np.ndarray, x2=None, out=None) -> np.ndarray
     return sq
 
 
+def _exact_in_float32(X: np.ndarray, Q: np.ndarray) -> bool:
+    """True when X and Q hold only integers with dim * (max|X| + max|Q|)^2 < 2**24.
+
+    Every squared distance, and every term of _sq_distances' expansion, is
+    then an integer below 2**24, so float32 arithmetic gives exactly the
+    float64 values.  Checked one _BLOCK of rows at a time, so the check
+    allocates no copy of a large memory.
+    """
+    bound = 0.0
+    for A in (X,) if Q is X else (X, Q):
+        peak = 0.0
+        for start in range(0, len(A), _BLOCK):
+            block = A[start : start + _BLOCK]
+            if not np.array_equal(block, np.rint(block)):
+                return False
+            peak = max(peak, float(np.abs(block).max()))
+        bound += 2 * peak if Q is X else peak
+    return X.shape[1] * bound**2 < 2**24
+
+
 def _distance_blocks(X: np.ndarray, Q: np.ndarray):
     """Yield (start, squared distances) per _BLOCK-row slice of Q, every
-    block in the same buffer: use one before asking for the next."""
+    block in the same buffer: use one before asking for the next.
+
+    Integer-valued inputs small enough for _exact_in_float32 are cast to
+    float32 once per pass (once in all when ``Q is X``) and give float32
+    blocks holding the same integers as the float64 path.
+    """
+    if _exact_in_float32(X, Q):
+        same = Q is X
+        X = X.astype(np.float32)
+        Q = X if same else Q.astype(np.float32)
     x2 = np.einsum("ij,ij->i", X, X)
-    buf = np.empty((min(_BLOCK, len(Q)), len(X)), dtype=np.float64)
+    buf = np.empty((min(_BLOCK, len(Q)), len(X)), dtype=X.dtype)
     for start in range(0, len(Q), _BLOCK):
         block = Q[start : start + _BLOCK]
         yield start, _sq_distances(X, block, x2, buf[: len(block)])
@@ -152,7 +182,7 @@ def nn_decide_batch(memory: ExemplarMemory, queries) -> tuple[list, np.ndarray]:
     for start, sq in _distance_blocks(memory.vectors, Q):
         ranks, best = _nearest_ranks(sq, memory.label_rank)
         decisions.extend(memory.class_set[r] for r in ranks)
-        distances[start : start + len(best)] = np.sqrt(best)
+        distances[start : start + len(best)] = np.sqrt(best.astype(np.float64))
     return decisions, distances
 
 
@@ -203,6 +233,23 @@ class GcmParams:
                 raise ValueError("biases must sum to 1")
 
 
+def _likelihoods(memory: ExemplarMemory, params: GcmParams) -> np.ndarray | None:
+    if params.likelihoods is None:
+        return None
+    like = np.asarray(params.likelihoods, dtype=np.float64)
+    if like.shape != (len(memory),):
+        raise ValueError("likelihoods must have one weight per exemplar")
+    return like
+
+
+def _normalise_strengths(memory: ExemplarMemory, params: GcmParams, strengths: np.ndarray):
+    """Bias-weighted class strengths, normalised to probabilities per row."""
+    if params.biases is not None:
+        b = np.array([params.biases.get(c, 0.0) for c in memory.class_set], dtype=np.float64)
+        strengths = strengths * b
+    return strengths / strengths.sum(axis=1, keepdims=True)
+
+
 def _gcm_block_probs(memory: ExemplarMemory, params: GcmParams, d: np.ndarray) -> np.ndarray:
     """(rows, n_classes) probabilities from a block of distances d."""
     expo = (d / params.s) ** params.p
@@ -211,18 +258,12 @@ def _gcm_block_probs(memory: ExemplarMemory, params: GcmParams, d: np.ndarray) -
     # cannot underflow to an all-zero row
     expo -= expo.min(axis=1, keepdims=True)
     eta = np.exp(-expo)
-    if params.likelihoods is not None:
-        like = np.asarray(params.likelihoods, dtype=np.float64)
-        if like.shape != (len(memory),):
-            raise ValueError("likelihoods must have one weight per exemplar")
+    like = _likelihoods(memory, params)
+    if like is not None:
         eta = eta * like
     onehot = np.zeros((len(memory), len(memory.class_set)), dtype=np.float64)
     onehot[np.arange(len(memory)), memory.label_rank] = 1.0
-    strengths = eta @ onehot
-    if params.biases is not None:
-        b = np.array([params.biases.get(c, 0.0) for c in memory.class_set], dtype=np.float64)
-        strengths = strengths * b
-    return strengths / strengths.sum(axis=1, keepdims=True)
+    return _normalise_strengths(memory, params, eta @ onehot)
 
 
 def _gcm_prob_matrix(memory: ExemplarMemory, params: GcmParams, Q: np.ndarray) -> np.ndarray:
@@ -230,17 +271,63 @@ def _gcm_prob_matrix(memory: ExemplarMemory, params: GcmParams, Q: np.ndarray) -
     return _gcm_block_probs(memory, params, np.sqrt(_sq_distances(memory.vectors, Q)))
 
 
+def _histogram_block_probs(memory: ExemplarMemory, sq: np.ndarray, bins: int):
+    """Probabilities per parameter set from a block of integer squared distances.
+
+    Counts, per query row, the exemplars of each class at each squared
+    distance 0 .. bins-1 once; each parameter set then weights the counts
+    by a bins-entry kernel row per query instead of one exp per pair.
+    Returns params -> (rows, n_classes) probabilities.
+    """
+    rows, n_classes = sq.shape[0], len(memory.class_set)
+    index = sq.astype(np.intp)
+    nearest = index.min(axis=1)
+    index += memory.label_rank * bins
+    index += (np.arange(rows) * (n_classes * bins))[:, None]
+    index = index.ravel()
+    levels = np.sqrt(np.arange(bins, dtype=np.float64))
+
+    def histogram(weights=None) -> np.ndarray:
+        flat = np.bincount(index, weights, rows * n_classes * bins)
+        return flat.reshape(rows, n_classes, bins).astype(np.float64, copy=False)
+
+    counts = histogram()
+
+    def probs(params: GcmParams) -> np.ndarray:
+        like = _likelihoods(memory, params)
+        hist = counts if like is None else histogram(np.broadcast_to(like, sq.shape).ravel())
+        expo = (levels / params.s) ** params.p
+        # the direct path's underflow guard: subtract the exponent at each
+        # row's nearest exemplar; empty bins below it are clipped to 0
+        expo = expo - expo[nearest][:, None]
+        np.maximum(expo, 0.0, out=expo)
+        eta = np.exp(-expo, out=expo)
+        return _normalise_strengths(memory, params, np.einsum("rcb,rb->rc", hist, eta))
+
+    return probs
+
+
 def _gcm_decide_scales(memory: ExemplarMemory, params_list, queries) -> list:
     """One distance pass serving several parameter sets: per entry of
-    ``params_list``, its (class ranks, max probabilities) arrays."""
+    ``params_list``, its (class ranks, max probabilities) arrays.
+
+    Blocks of exact integer distances go through a class x distance
+    histogram when it is no larger than the block (n_classes * bins <=
+    exemplars); all other blocks take the direct per-pair kernel.
+    """
     Q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
     results = [(np.empty(len(Q), dtype=np.intp), np.empty(len(Q))) for _ in params_list]
     for start, sq in _distance_blocks(memory.vectors, Q):
-        d = np.sqrt(sq, out=sq)
+        bins = int(sq.max()) + 1 if sq.dtype == np.float32 else None
+        if bins is not None and len(memory.class_set) * bins <= len(memory):
+            block_probs = _histogram_block_probs(memory, sq, bins)
+        else:
+            d = sq.astype(np.float64, copy=False)
+            block_probs = partial(_gcm_block_probs, memory, d=np.sqrt(d, out=d))
         for params, (ranks, max_probs) in zip(params_list, results):
-            probs = _gcm_block_probs(memory, params, d)
-            ranks[start : start + len(d)] = np.argmax(probs, axis=1)
-            max_probs[start : start + len(d)] = probs.max(axis=1)
+            probs = block_probs(params)
+            ranks[start : start + len(sq)] = np.argmax(probs, axis=1)
+            max_probs[start : start + len(sq)] = probs.max(axis=1)
     return results
 
 

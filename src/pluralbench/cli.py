@@ -229,12 +229,15 @@ def _cmd_evaluate(args) -> int:
     eval_set = data.test
     vectors = [n.vector for n in eval_set]
     if args.hybrid_t is not None:
-        hconfig = HybridConfig(
-            base=saved.kind,
-            t=args.hybrid_t,
-            default_class=data.default_class,
-            gcm_params=saved.params,
-        )
+        try:
+            hconfig = HybridConfig(
+                base=saved.kind,
+                t=args.hybrid_t,
+                default_class=data.default_class,
+                gcm_params=saved.params,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"--hybrid-t {args.hybrid_t:g} on a {saved.kind} model: {exc}") from exc
         decisions = hybrid_decide_batch(hconfig, saved.model, vectors)
     else:
         decisions = _decide(saved, vectors)
@@ -331,6 +334,34 @@ def _cmd_report(args) -> int:
 # --------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors, out-of-range flag values included, are configuration
+    errors: main reports them with exit code 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _at_least(kind, low, strict=False):
+    """argparse type: ``kind(text)`` that is > low if strict, else >= low."""
+
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
+_POSITIVE = _at_least(float, 0, strict=True)
+_NON_NEGATIVE = _at_least(float, 0)
+_COUNT = _at_least(int, 1)
+_SEED = _at_least(int, 0)
+
+
 def _add_pipeline_flags(p: argparse.ArgumentParser, lexicon_flag: bool = False) -> None:
     if lexicon_flag:
         p.add_argument("--lexicon", help="lexicon TSV (overrides config)")
@@ -352,7 +383,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser, lexicon_flag: bool = False) 
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pluralbench",
         description="Associative and hybrid rule-associative plural-class classifiers.",
     )
@@ -375,20 +406,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-default", action="store_true",
         help="train without the default class (for hybrid use)",
     )
-    p.add_argument("--scale", type=float, help="gcm kernel scale s")
+    p.add_argument("--scale", type=_POSITIVE, help="gcm kernel scale s")
     p.add_argument("--kernel-p", type=int, default=2, choices=[1, 2])
-    p.add_argument("--hidden", type=int, default=50, help="mlp hidden units")
-    p.add_argument("--epochs", type=int, default=40, help="mlp training epochs")
-    p.add_argument("--seed", type=int, default=1, help="mlp weight/shuffle seed")
-    p.add_argument("--rate", type=float, default=0.25, help="mlp learning rate")
-    p.add_argument("--momentum", type=float, default=0.9, help="mlp momentum")
+    p.add_argument("--hidden", type=_COUNT, default=50, help="mlp hidden units")
+    p.add_argument("--epochs", type=_COUNT, default=40, help="mlp training epochs")
+    p.add_argument("--seed", type=_SEED, default=1, help="mlp weight/shuffle seed")
+    p.add_argument("--rate", type=_POSITIVE, default=0.25, help="mlp learning rate")
+    p.add_argument("--momentum", type=_NON_NEGATIVE, default=0.9, help="mlp momentum")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="score a saved model on the test split")
     p.add_argument("model", help="model file written by 'train'")
     _add_pipeline_flags(p, lexicon_flag=True)
     p.add_argument(
-        "--hybrid-t", type=float, default=None,
+        "--hybrid-t", type=_NON_NEGATIVE, default=None,
         help="evaluate as a hybrid with this threshold",
     )
     p.set_defaults(func=_cmd_evaluate)
@@ -400,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="pseudolanguage comparison presets")
     p.add_argument("--language", type=int, choices=[1, 2], required=True)
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--split-seed", type=int, default=0, help="train/test split seed")
-    p.add_argument("--points", type=int, default=200, help="points per class")
+    p.add_argument("--seed", type=_SEED, default=0, help="sampling seed")
+    p.add_argument("--split-seed", type=_SEED, default=0, help="train/test split seed")
+    p.add_argument("--points", type=_COUNT, default=200, help="points per class")
     p.add_argument("--t-max", type=float, default=5.0, help="threshold grid upper end")
     p.add_argument("--t-step", type=float, default=0.05, help="threshold grid step")
     p.add_argument("--output-dir", help=f"output directory (or ${OUTPUT_DIR_ENV})")
@@ -417,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

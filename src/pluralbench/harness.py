@@ -92,6 +92,19 @@ def _expand_int_grid(spec) -> list[int]:
     return [int(round(v)) for v in expand_grid(spec)]
 
 
+# (section, key, expansion, predicate, allowed range) for every grid a
+# classifier section holds; a value outside its range is a config error
+_GRID_RANGES = (
+    ("nn", "t_grid", expand_grid, lambda v: v >= 0, ">= 0"),
+    ("gcm", "s_grid", expand_grid, lambda v: v > 0, "> 0"),
+    ("gcm", "hybrid_s_grid", expand_grid, lambda v: v > 0, "> 0"),
+    ("gcm", "t_grid", expand_grid, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("mlp", "hidden", _expand_int_grid, lambda v: v >= 1, ">= 1"),
+    ("mlp", "epochs", _expand_int_grid, lambda v: v >= 1, ">= 1"),
+    ("mlp", "t_grid", expand_grid, lambda v: 0 <= v <= 1, "in [0, 1]"),
+)
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment settings; see README for the full key set."""
@@ -152,6 +165,8 @@ class ExperimentConfig:
             raise ConfigError("slots must be an integer >= 1")
         if type(self.split_seed) is not int or self.split_seed < 0:
             raise ConfigError("split_seed must be a non-negative integer")
+        if type(self.validation_seed) is not int or self.validation_seed < 0:
+            raise ConfigError("validation_seed must be a non-negative integer")
         if not 0.0 <= self.filter_min_fraction <= 1.0:
             raise ConfigError("filter_min_fraction must lie in [0, 1]")
         if self.gcm["kernel_p"] not in (1, 2):
@@ -160,6 +175,10 @@ class ExperimentConfig:
             raise ConfigError("mlp.rate must be a positive number")
         if type(self.mlp["momentum"]) not in (int, float) or self.mlp["momentum"] < 0:
             raise ConfigError("mlp.momentum must be a non-negative number")
+        for section, key, expand, ok, allowed in _GRID_RANGES:
+            bad = [v for v in expand(getattr(self, section)[key]) if not ok(v)]
+            if bad:
+                raise ConfigError(f"{section}.{key} values must be {allowed}, got {bad[0]:g}")
         bad = [c for c in self.classifiers if c not in ("nn", "gcm", "mlp")]
         if bad:
             raise ConfigError(f"unknown classifiers: {bad}")
@@ -407,7 +426,7 @@ def _run_gcm(config, data, outdir, selection):
 
 def _run_mlp(config, data, outdir, selection):
     section = config.mlp
-    hidden_grid = [int(h) for h in section["hidden"]]
+    hidden_grid = _expand_int_grid(section["hidden"])
     epoch_grid = _expand_int_grid(section["epochs"])
     seeds = [int(s) for s in section["seeds"]]
     rate = float(section["rate"])

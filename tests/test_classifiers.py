@@ -1,18 +1,26 @@
 """Oracle-backed tests for the exemplar, context, and network classifiers."""
 
 import math
+from collections import Counter
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pluralbench import classifiers
 from pluralbench.classifiers import (
     ClassifierResponse,
     ExemplarMemory,
     GcmParams,
     MlpModel,
+    _distance_blocks,
+    _exact_in_float32,
     _gcm_decide_scales,
     _gcm_prob_matrix,
+    _histogram_block_probs,
     _mlp_train_checkpoints,
+    _nearest_ranks,
     _sq_distances,
     evaluate,
     gcm_classify,
@@ -379,6 +387,181 @@ def test_gcm_optimize_scale_tie_goes_to_smallest():
         gcm_optimize_scale(memory, eval_set, 2, [])
     with pytest.raises(ValueError):
         gcm_optimize_scale(memory, [], 2, [1.0])
+
+
+# --------------------------------------------------------------------------
+# Exact integer path: float32 distances and the class x distance histogram
+# --------------------------------------------------------------------------
+
+
+def _integer_nn_oracle(X, labels, q, skip=None):
+    """Nearest row of integer X by exact int64 squared distance, with exact
+    ties going to the class with more items in ``labels``, then by name."""
+    counts = Counter(labels)
+    sq = ((X.astype(np.int64) - np.asarray(q).astype(np.int64)) ** 2).sum(axis=1).tolist()
+    candidates = [j for j in range(len(X)) if j != skip]
+    best = min(sq[j] for j in candidates)
+    tied = {labels[j] for j in candidates if sq[j] == best}
+    return min(tied, key=lambda c: (-counts[c], c)), math.sqrt(best)
+
+
+def _integer_case(seed, high, n=200, dim=6, n_queries=300):
+    """Integer vectors in [0, high) over three unequal classes.  The last ten
+    exemplars repeat the first ten (another leave-one-out block once n > 256),
+    and queries 256.. repeat queries 0.., so duplicates sit in different
+    query blocks; queries 100..119 sit on exemplars."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, high, size=(n, dim)).astype(np.float64)
+    X[n - 10 :] = X[:10]
+    labels = [["a", "m", "z"][int(i)] for i in rng.choice(3, n, p=[0.2, 0.3, 0.5])]
+    Q = rng.integers(0, high, size=(n_queries, dim)).astype(np.float64)
+    Q[100:120] = X[:20]
+    Q[256:] = Q[: n_queries - 256]
+    return X, labels, Q
+
+
+@pytest.mark.parametrize("high", [2, 4])
+def test_integer_path_nn_bit_equal_to_float64_path(high):
+    X, labels, Q = _integer_case(50 + high, high)
+    memory = ExemplarMemory.from_pairs(X, labels)
+    assert _exact_in_float32(memory.vectors, Q)
+    assert {sq.dtype for _, sq in _distance_blocks(memory.vectors, Q)} == {np.dtype(np.float32)}
+    decisions, distances = nn_decide_batch(memory, Q)
+    # the float64 formula over all queries at once, no blocks
+    ranks, best = _nearest_ranks(_sq_distances(memory.vectors, Q), memory.label_rank)
+    assert best.dtype == np.float64
+    assert decisions == [memory.class_set[r] for r in ranks]
+    assert np.array_equal(distances, np.sqrt(best))
+    cross_class_ties = 0
+    for q, d, dist in zip(Q, decisions, distances):
+        assert (d, dist) == _integer_nn_oracle(X, labels, q)
+        sq = ((X - q) ** 2).sum(axis=1)
+        cross_class_ties += len({labels[j] for j in np.flatnonzero(sq == sq.min())}) > 1
+    assert cross_class_ties > 10  # the case exercises the tie rule
+
+
+@pytest.mark.parametrize("high", [2, 4])
+def test_integer_path_leave_one_out_matches_oracle(high):
+    X, labels, _ = _integer_case(60 + high, high, n=300)
+    correct = sum(
+        _integer_nn_oracle(X, labels, X[i], skip=i)[0] == labels[i] for i in range(len(X))
+    )
+    assert _exact_in_float32(X, X)
+    assert nn_leave_one_out(_nouns(X, labels)) == correct / len(X)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("high", [2, 4])
+def test_integer_path_gcm_matches_direct_path(monkeypatch, high, p, weighted):
+    X, labels, Q = _integer_case(70 + high, high)
+    memory = ExemplarMemory.from_pairs(X, labels)
+    rng = np.random.default_rng(high)
+    extra = {}
+    if weighted:
+        extra = {"biases": {"a": 0.5, "m": 0.2, "z": 0.3},
+                 "likelihoods": rng.uniform(0.5, 2.0, len(X))}
+    params_list = [GcmParams(s=s, p=p, **extra) for s in (0.3, 1.0, 2.5)]
+    histogram_blocks = []
+
+    def spy(memory, sq, bins):
+        histogram_blocks.append(len(sq))
+        return _histogram_block_probs(memory, sq, bins)
+
+    monkeypatch.setattr(classifiers, "_histogram_block_probs", spy)
+    results = _gcm_decide_scales(memory, params_list, Q)
+    assert histogram_blocks == [256, len(Q) - 256]
+    for params, (ranks, max_probs) in zip(params_list, results):
+        direct = _gcm_prob_matrix(memory, params, Q)
+        assert np.array_equal(ranks, np.argmax(direct, axis=1))
+        assert np.abs(max_probs - direct.max(axis=1)).max() < 1e-12
+        for start, sq in _distance_blocks(memory.vectors, Q):
+            probs = _histogram_block_probs(memory, sq, int(sq.max()) + 1)(params)
+            assert np.abs(probs - direct[start : start + len(sq)]).max() < 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_integer_path_gcm_exact_cross_class_tie(p):
+    # two "a" and two "b" exemplars at squared distance 1 from the query and
+    # twenty "c" exemplars at 4: a and b tie exactly on both paths, and the
+    # tie goes to a, the first of them in canonical order (c, a, b)
+    X = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] + [[1] * 4] * 20,
+                 dtype=np.float64)
+    memory = ExemplarMemory.from_pairs(X, ["a", "a", "b", "b"] + ["c"] * 20)
+    Q = np.zeros((1, 4))
+    params = GcmParams(s=0.25, p=p)
+    [(ranks, _)] = _gcm_decide_scales(memory, [params], Q)
+    [sq] = [sq for _, sq in _distance_blocks(memory.vectors, Q)]
+    probs = _histogram_block_probs(memory, sq, 5)(params)[0]
+    assert probs[1] == probs[2] > probs[0]
+    assert memory.class_set[ranks[0]] == "a"
+    assert np.argmax(_gcm_prob_matrix(memory, params, Q)[0]) == ranks[0]
+
+
+def test_integer_path_gcm_far_query_does_not_underflow():
+    # every exemplar sits at squared distance >= 4 from the query: at s = 0.05
+    # and p = 2 the kernel underflows without the per-query shift, and the
+    # empty bins below the nearest one must not overflow to inf * 0 either
+    rng = np.random.default_rng(44)
+    X = np.zeros((60, 6))
+    X[:, 4:] = rng.integers(0, 2, size=(60, 2))
+    memory = ExemplarMemory.from_pairs(X, [["a", "b"][i % 2] for i in range(60)])
+    Q = np.array([[1, 1, 1, 1, 0, 0]], dtype=np.float64)
+    for p in (1, 2):
+        params = GcmParams(s=0.05, p=p)
+        [(ranks, max_probs)] = _gcm_decide_scales(memory, [params], Q)
+        [sq] = [sq for _, sq in _distance_blocks(memory.vectors, Q)]
+        probs = _histogram_block_probs(memory, sq, int(sq.max()) + 1)(params)
+        direct = _gcm_prob_matrix(memory, params, Q)
+        assert np.isfinite(probs).all() and np.abs(probs - direct).max() < 1e-12
+        assert ranks[0] == np.argmax(direct[0]) and max_probs[0] == probs.max()
+
+
+def test_integer_path_bound_keeps_large_values_on_float64():
+    # dim * (max|X| + max|Q|)^2 must stay below 2**24 for float32 to be exact
+    X = np.array([[0.0], [4095.0]])
+    assert _exact_in_float32(X, np.zeros((1, 1)))  # 4095^2 < 2**24
+    assert not _exact_in_float32(np.array([[4096.0]]), np.zeros((1, 1)))  # == 2**24
+    assert not _exact_in_float32(X, X)  # (4095 + 4095)^2
+    assert not _exact_in_float32(np.array([[0.5]]), np.zeros((1, 1)))
+    assert not _exact_in_float32(np.zeros((1, 1)), np.array([[np.nan]]))
+    assert not _exact_in_float32(np.zeros((1, 1)), np.array([[np.inf]]))
+    # integers past the bound: float64 blocks, still exact
+    rng = np.random.default_rng(43)
+    X = rng.integers(0, 3000, size=(300, 3)).astype(np.float64)
+    X[-10:] = X[:10]
+    labels = [["a", "b"][int(i)] for i in rng.integers(0, 2, len(X))]
+    Q = np.concatenate([X[:150], rng.integers(0, 3000, size=(150, 3))]).astype(np.float64)
+    memory = ExemplarMemory.from_pairs(X, labels)
+    assert 3 * (2 * X.max()) ** 2 >= 2**24 and not _exact_in_float32(X, Q)
+    assert {sq.dtype for _, sq in _distance_blocks(memory.vectors, Q)} == {np.dtype(np.float64)}
+    decisions, distances = nn_decide_batch(memory, Q)
+    for q, d, dist in zip(Q, decisions, distances):
+        assert (d, dist) == _integer_nn_oracle(X, labels, q)
+    correct = sum(
+        _integer_nn_oracle(X, labels, X[i], skip=i)[0] == labels[i] for i in range(len(X))
+    )
+    assert nn_leave_one_out(_nouns(X, labels)) == correct / len(X)
+
+
+_small_ints = st.integers(-3, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_path_nn_property(data):
+    dim = data.draw(st.integers(1, 5), label="dim")
+    X = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(2, 25)), dim), elements=_small_ints))
+    Q = data.draw(hnp.arrays(np.int64, (data.draw(st.integers(1, 12)), dim), elements=_small_ints))
+    labels = data.draw(st.lists(st.sampled_from("abc"), min_size=len(X), max_size=len(X)))
+    X, Q = X.astype(np.float64), Q.astype(np.float64)
+    decisions, distances = nn_decide_batch(ExemplarMemory.from_pairs(X, labels), Q)
+    for q, d, dist in zip(Q, decisions, distances):
+        assert (d, dist) == _integer_nn_oracle(X, labels, q)
+    correct = sum(
+        _integer_nn_oracle(X, labels, X[i], skip=i)[0] == labels[i] for i in range(len(X))
+    )
+    assert nn_leave_one_out(_nouns(X, labels)) == correct / len(X)
 
 
 # --------------------------------------------------------------------------

@@ -161,6 +161,14 @@ def test_exit_code_1_config_errors(tmp_path, capsys):
         ({"slots": 2.5}, "slots"),
         ({"slots": "5"}, "slots"),
         ({"classifiers": "nn"}, "classifiers must be a list"),
+        ({"mlp": {**SMALL_CONFIG["mlp"], "hidden": [8, 0]}}, "mlp.hidden"),
+        ({"mlp": {**SMALL_CONFIG["mlp"], "epochs": [0]}}, "mlp.epochs"),
+        ({"gcm": {**SMALL_CONFIG["gcm"], "s_grid": [0]}}, "gcm.s_grid"),
+        ({"gcm": {**SMALL_CONFIG["gcm"], "hybrid_s_grid": [1.0, -2.0]}}, "gcm.hybrid_s_grid"),
+        ({"selection": "validation", "validation_seed": -1}, "validation_seed"),
+        ({"nn": {"t_grid": [-1]}}, "nn.t_grid"),
+        ({"gcm": {**SMALL_CONFIG["gcm"], "t_grid": [2]}}, "gcm.t_grid"),
+        ({"mlp": {**SMALL_CONFIG["mlp"], "t_grid": [0.5, 1.5]}}, "mlp.t_grid"),
     ],
 )
 def test_exit_code_1_invalid_config_values(tmp_path, capsys, overrides, message):
@@ -183,12 +191,46 @@ def test_exit_code_2_data_errors(tmp_path, capsys):
                  "--output-dir", str(tmp_path / "out")]) == 2
 
 
-def test_exit_code_3_internal_errors(tmp_path, capsys):
-    config = _write_config(
-        tmp_path,
-        classifiers=["gcm"],
-        gcm={**SMALL_CONFIG["gcm"], "s_grid": [-1.0]},
-    )
+@pytest.fixture(scope="module")
+def toy_models(tmp_path_factory):
+    """Toy nn and gcm models trained without the default class."""
+    root = tmp_path_factory.mktemp("models")
+    models = {}
+    for kind, extra in (("nn", []), ("gcm", ["--scale", "1.5"])):
+        models[kind] = str(root / f"{kind}.json")
+        argv = ["train", TOY, "--model-out", models[kind], "--classifier", kind, "--no-default"]
+        assert main(argv + extra) == 0
+    return models
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", TOY, "--classifier", "gcm", "--scale", "0"], "--scale"),
+        (["train", TOY, "--classifier", "mlp", "--hidden", "0"], "--hidden"),
+        (["synth", "--language", "1", "--points", "0"], "--points"),
+        (["evaluate", "{nn}", "--lexicon", TOY, "--hybrid-t", "-1"], "--hybrid-t"),
+        (["evaluate", "{gcm}", "--lexicon", TOY, "--hybrid-t", "2"], "--hybrid-t"),
+    ],
+)
+def test_exit_code_1_out_of_range_flags(tmp_path, capsys, toy_models, argv, message):
+    argv = [a.format(**toy_models) for a in argv]
+    if argv[0] == "train":
+        argv += ["--model-out", str(tmp_path / "model.json")]
+    out = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "internal error" not in err
+    assert not out.exists() and not (tmp_path / "model.json").exists()
+
+
+def test_exit_code_3_internal_errors(tmp_path, capsys, monkeypatch):
+    # an unexpected failure inside a stage is neither a config nor a data error
+    def fail(*args, **kwargs):
+        raise ValueError("unexpected")
+
+    monkeypatch.setattr("pluralbench.harness.gcm_optimize_scale", fail)
+    config = _write_config(tmp_path, classifiers=["gcm"])
     code = main(["report", "--config", config, "--output-dir", str(tmp_path / "out")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
