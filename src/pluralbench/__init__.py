@@ -20,7 +20,6 @@ from .errors import (
 )
 from .phonology import (
     DEFAULT_SLOTS,
-    DISCARDED,
     UMLAUT_PAIRS,
     FeatureTable,
     PluralClass,
@@ -106,7 +105,6 @@ __all__ = [
     # phonology
     "DEFAULT_SLOTS",
     "UMLAUT_PAIRS",
-    "DISCARDED",
     "FeatureTable",
     "PluralClass",
     "parse_phonemes",

@@ -47,49 +47,124 @@ def _sq_distances(X: np.ndarray, Q: np.ndarray, x2=None, out=None) -> np.ndarray
     return sq
 
 
-def _exact_in_float32(X: np.ndarray, Q: np.ndarray) -> bool:
+def _integer_peak(A: np.ndarray, block: int = _BLOCK) -> float | None:
+    """max|A| when every entry of A is an integer, else None.
+
+    Scanned ``block`` rows at a time, so it allocates no copy of a large
+    memory.
+    """
+    peak = 0.0
+    for start in range(0, len(A), block):
+        rows = A[start : start + block]
+        if not np.array_equal(rows, np.rint(rows)):
+            return None
+        peak = max(peak, float(np.abs(rows).max()))
+    return peak
+
+
+def _exact_in_float32(X: np.ndarray, Q: np.ndarray, block: int = _BLOCK) -> bool:
     """True when X and Q hold only integers with dim * (max|X| + max|Q|)^2 < 2**24.
 
     Every squared distance, and every term of _sq_distances' expansion, is
     then an integer below 2**24, so float32 arithmetic gives exactly the
-    float64 values.  Checked one _BLOCK of rows at a time, so the check
-    allocates no copy of a large memory.
+    float64 values.
     """
-    bound = 0.0
-    for A in (X,) if Q is X else (X, Q):
-        peak = 0.0
-        for start in range(0, len(A), _BLOCK):
-            block = A[start : start + _BLOCK]
-            if not np.array_equal(block, np.rint(block)):
-                return False
-            peak = max(peak, float(np.abs(block).max()))
-        bound += 2 * peak if Q is X else peak
+    peaks = [_integer_peak(A, block) for A in ((X,) if Q is X else (X, Q))]
+    if None in peaks:
+        return False
+    bound = 2 * peaks[0] if Q is X else sum(peaks)
     return X.shape[1] * bound**2 < 2**24
 
 
-def _distance_blocks(X: np.ndarray, Q: np.ndarray):
-    """Yield (start, squared distances) per _BLOCK-row slice of Q, every
+def _distance_blocks(X: np.ndarray, Q: np.ndarray, block: int = _BLOCK):
+    """Yield (start, squared distances) per ``block``-row slice of Q, every
     block in the same buffer: use one before asking for the next.
 
     Integer-valued inputs small enough for _exact_in_float32 are cast to
     float32 once per pass (once in all when ``Q is X``) and give float32
     blocks holding the same integers as the float64 path.
     """
-    if _exact_in_float32(X, Q):
+    if _exact_in_float32(X, Q, block):
         same = Q is X
         X = X.astype(np.float32)
         Q = X if same else Q.astype(np.float32)
     x2 = np.einsum("ij,ij->i", X, X)
-    buf = np.empty((min(_BLOCK, len(Q)), len(X)), dtype=X.dtype)
-    for start in range(0, len(Q), _BLOCK):
-        block = Q[start : start + _BLOCK]
-        yield start, _sq_distances(X, block, x2, buf[: len(block)])
+    buf = np.empty((min(block, len(Q)), len(X)), dtype=X.dtype)
+    for start in range(0, len(Q), block):
+        rows = Q[start : start + block]
+        yield start, _sq_distances(X, rows, x2, buf[: len(rows)])
 
 
 def _nearest_ranks(sq: np.ndarray, label_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row: lowest class rank among the nearest exemplars, and their squared distance."""
     best = sq.min(axis=1)
     return np.array([label_rank[np.flatnonzero(r == b)].min() for r, b in zip(sq, best)]), best
+
+
+def _panel_keys_exact(X: np.ndarray, n_classes: int, block: int = _BLOCK) -> bool:
+    """True when X holds only integers with n_classes * (dim * (2 max|X|)^2 + 2) < 2**24.
+
+    Every partial sum of _leave_one_out_panels' GEMM, and every key plus a
+    second class rank, is then an integer below 2**24, exact in float32.
+    """
+    peak = _integer_peak(X, block)
+    return peak is not None and n_classes * (X.shape[1] * (2 * peak) ** 2 + 2) < 2**24
+
+
+def _leave_one_out_panels(
+    X: np.ndarray, label_rank: np.ndarray, n_classes: int, block: int = _BLOCK
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per item: lowest class rank among its nearest other items, and their
+    squared distance (_nearest_ranks' rule), computing each pair once.
+
+    Each panel is rows s..s+b against items s.. (the upper triangle), its
+    entries the keys n_classes * sq + rank of the column item, straight out
+    of one float32 GEMM of [-2C x, C |x|^2, 1] against [x, 1, C |x|^2 + rank].
+    Row minima give items s..s+b their nearest among items s..; adding the
+    row items' ranks and taking column minima gives every later item its
+    nearest among rows s..s+b.  Requires _panel_keys_exact(X, n_classes).
+    """
+    n, dim, C = len(X), X.shape[1], n_classes
+    x2 = np.einsum("ij,ij->i", X, X)
+    items = np.empty((n, dim + 2), dtype=np.float32)
+    items[:, :dim] = X
+    items[:, dim] = 1.0
+    items[:, dim + 1] = C * x2 + label_rank
+    ranks = label_rank.astype(np.float32)
+    best = np.full(n, np.inf, dtype=np.float32)
+    buf = np.empty(min(block, n) * n, dtype=np.float32)
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        rows = np.empty((e - s, dim + 2), dtype=np.float32)
+        rows[:, :dim] = X[s:e] * (-2.0 * C)
+        rows[:, dim] = C * x2[s:e]
+        rows[:, dim + 1] = 1.0
+        panel = np.dot(rows, items[s:].T, out=buf[: (e - s) * (n - s)].reshape(e - s, n - s))
+        np.fill_diagonal(panel, np.inf)  # each item's key against itself
+        np.minimum(best[s:e], panel.min(axis=1), out=best[s:e])
+        if e < n:
+            later = panel[:, e - s :]
+            later += ranks[s:e, None]
+            cols = later.min(axis=0)
+            cols -= ranks[e:]
+            np.minimum(best[e:], cols, out=best[e:])
+    keys = best.astype(np.int64)
+    return keys % C, keys // C
+
+
+def _leave_one_out_blocks(
+    X: np.ndarray, label_rank: np.ndarray, block: int = _BLOCK
+) -> tuple[np.ndarray, np.ndarray]:
+    """_leave_one_out_panels' result from one _distance_blocks pass over
+    every pair, each item's distance to itself set to inf; serves inputs
+    whose panel keys would not be exact."""
+    ranks, best = [], []
+    for start, sq in _distance_blocks(X, X, block):
+        np.fill_diagonal(sq[:, start:], np.inf)
+        r, b = _nearest_ranks(sq, label_rank)
+        ranks.append(r)
+        best.append(b)
+    return np.concatenate(ranks), np.concatenate(best)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,12 +266,12 @@ def nn_leave_one_out(nouns: list[EncodedNoun]) -> float:
     if len(nouns) < 2:
         raise ValueError("leave-one-out requires at least 2 entries")
     memory = ExemplarMemory.from_encoded(nouns)
-    correct = 0
-    for start, sq in _distance_blocks(memory.vectors, memory.vectors):
-        np.fill_diagonal(sq[:, start:], np.inf)  # each item's distance to itself
-        ranks, _ = _nearest_ranks(sq, memory.label_rank)
-        correct += int(np.count_nonzero(ranks == memory.label_rank[start : start + len(sq)]))
-    return correct / len(memory)
+    X, n_classes = memory.vectors, len(memory.class_set)
+    if _panel_keys_exact(X, n_classes):
+        ranks, _ = _leave_one_out_panels(X, memory.label_rank, n_classes)
+    else:
+        ranks, _ = _leave_one_out_blocks(X, memory.label_rank)
+    return int(np.count_nonzero(ranks == memory.label_rank)) / len(memory)
 
 
 # --------------------------------------------------------------------------

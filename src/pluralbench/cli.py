@@ -186,6 +186,9 @@ def _cmd_encode(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _merged_config(args)
+    out_path = Path(args.model_out)
+    if not out_path.parent.is_dir():
+        raise ConfigError(f"--model-out directory does not exist: {out_path.parent}")
     table = _load_table(config)
     *_, non_compound = _pipeline(config, table)
     data = _split(config, table, non_compound)
@@ -195,7 +198,6 @@ def _cmd_train(args) -> int:
         "split_seed": config.split_seed,
         "includes_default_class": not args.no_default,
     }
-    out_path = Path(args.model_out)
     if args.classifier == "nn":
         save_nn(ExemplarMemory.from_encoded(train_set), out_path, metadata)
     elif args.classifier == "gcm":
@@ -224,6 +226,13 @@ def _cmd_evaluate(args) -> int:
     saved = load_model(args.model)
     config = _merged_config(args)
     table = _load_table(config)
+    model_width = saved.model.input_dim if saved.kind == "mlp" else saved.model.dim
+    width = config.slots * table.feature_count
+    if model_width != width:
+        raise ModelFormatError(
+            f"model {args.model} takes {model_width} features but the lexicon encodes to "
+            f"{width} ({config.slots} slots x {table.feature_count} features)"
+        )
     *_, non_compound = _pipeline(config, table)
     data = _split(config, table, non_compound)
     eval_set = data.test

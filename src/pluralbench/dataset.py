@@ -11,6 +11,7 @@ copy with the default (+s) class removed.
 
 from __future__ import annotations
 
+import io
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,10 +63,16 @@ def ingest(path, table: FeatureTable) -> list[LexiconEntry]:
     feature table.  ``source_id`` is the orthography, suffixed with ``#k``
     for repeated spellings so that identifiers stay unique.
     """
-    path = Path(path)
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise LexiconFormatError(f"invalid UTF-8 ({exc.reason})", line_number=lineno) from None
     entries: list[LexiconEntry] = []
     seen: Counter[str] = Counter()
-    with path.open(encoding="utf-8") as fh:
+    # universal newlines, as a text-mode file gives them
+    with io.StringIO(text, newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

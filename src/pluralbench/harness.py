@@ -175,6 +175,11 @@ class ExperimentConfig:
             raise ConfigError("mlp.rate must be a positive number")
         if type(self.mlp["momentum"]) not in (int, float) or self.mlp["momentum"] < 0:
             raise ConfigError("mlp.momentum must be a non-negative number")
+        seeds = self.mlp["seeds"]
+        if not isinstance(seeds, list) or not seeds or any(
+            type(v) is not int or v < 0 for v in seeds
+        ):
+            raise ConfigError("mlp.seeds must be a non-empty list of non-negative integers")
         for section, key, expand, ok, allowed in _GRID_RANGES:
             bad = [v for v in expand(getattr(self, section)[key]) if not ok(v)]
             if bad:

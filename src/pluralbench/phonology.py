@@ -171,7 +171,7 @@ UMLAUT = "umlaut"
 UMLAUT_SUFFIX = "umlaut_suffix"
 REWRITE = "rewrite"
 UMLAUT_REWRITE = "umlaut_rewrite"
-DISCARDED_KIND = "discarded"
+_KINDS = (IDENTITY, SUFFIX, UMLAUT, UMLAUT_SUFFIX, REWRITE, UMLAUT_REWRITE)
 
 
 @dataclass(frozen=True, order=False)
@@ -188,6 +188,10 @@ class PluralClass:
     rewrite_from: Phonemes = ()
     rewrite_to: Phonemes = ()
 
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown plural class kind {self.kind!r}")
+
     @property
     def canonical_name(self) -> str:
         if self.kind == IDENTITY:
@@ -200,18 +204,13 @@ class PluralClass:
             return "Umlaut+" + "".join(self.suffix)
         if self.kind == REWRITE:
             return "".join(self.rewrite_from) + "→" + "".join(self.rewrite_to)
-        if self.kind == UMLAUT_REWRITE:
-            return "Umlaut+" + "".join(self.rewrite_from) + "→" + "".join(self.rewrite_to)
-        return "Discarded"
+        return "Umlaut+" + "".join(self.rewrite_from) + "→" + "".join(self.rewrite_to)
 
     def __str__(self) -> str:
         return self.canonical_name
 
     def __lt__(self, other: "PluralClass") -> bool:
         return self.canonical_name < other.canonical_name
-
-
-DISCARDED = PluralClass(kind=DISCARDED_KIND)
 
 
 def _umlaut_candidates(word: Phonemes):

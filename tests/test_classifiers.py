@@ -1,5 +1,6 @@
 """Oracle-backed tests for the exemplar, context, and network classifiers."""
 
+import functools
 import math
 from collections import Counter
 
@@ -19,8 +20,12 @@ from pluralbench.classifiers import (
     _gcm_decide_scales,
     _gcm_prob_matrix,
     _histogram_block_probs,
+    _integer_peak,
+    _leave_one_out_blocks,
+    _leave_one_out_panels,
     _mlp_train_checkpoints,
     _nearest_ranks,
+    _panel_keys_exact,
     _sq_distances,
     evaluate,
     gcm_classify,
@@ -206,18 +211,50 @@ def test_nn_exact_ties_across_unequal_classes_on_binary_vectors():
         assert (d, dist) == _hamming_nn_oracle(X, labels, q)
 
 
-def test_leave_one_out_crosses_block_edge_against_oracle():
-    # more than one 256-row block, short binary vectors so that exact ties
-    # and duplicate rows are common: a wrong self-exclusion index in any
-    # block after the first changes the count
+def _float64_leave_one_out(memory):
+    """Per item (class rank, squared distance) of its nearest other item: the
+    float64 formula over all pairs at once, no blocks, no keys."""
+    sq = _sq_distances(memory.vectors, memory.vectors)
+    np.fill_diagonal(sq, np.inf)
+    return _nearest_ranks(sq, memory.label_rank)
+
+
+def _assert_leave_one_out_kernels(memory, block, oracle):
+    """Both kernels at ``block`` equal the float64 loop item by item, and
+    their decisions and distances equal ``oracle`` (per item (class, dist))."""
+    X, label_rank, n_classes = memory.vectors, memory.label_rank, len(memory.class_set)
+    ranks, best = _float64_leave_one_out(memory)
+    assert [(memory.class_set[r], math.sqrt(b)) for r, b in zip(ranks, best)] == oracle
+    assert _panel_keys_exact(X, n_classes, block)
+    for kernel_ranks, kernel_best in (
+        _leave_one_out_panels(X, label_rank, n_classes, block),
+        _leave_one_out_blocks(X, label_rank, block),
+    ):
+        assert np.array_equal(kernel_ranks, ranks) and np.array_equal(kernel_best, best)
+
+
+_BLOCK_EDGE_N = 330
+
+
+@functools.cache
+def _block_edge_case():
     rng = np.random.default_rng(41)
-    n = 330
+    n = _BLOCK_EDGE_N
     X = rng.integers(0, 2, size=(n, 9)).astype(np.float64)
     labels = [["a", "b", "c"][int(i)] for i in rng.choice(3, n, p=[0.5, 0.3, 0.2])]
-    correct = sum(
-        _hamming_nn_oracle(X, labels, X[i], skip=i)[0] == labels[i] for i in range(n)
-    )
-    assert nn_leave_one_out(_nouns(X, labels)) == correct / n
+    oracle = [_hamming_nn_oracle(X, labels, X[i], skip=i) for i in range(n)]
+    return X, labels, oracle
+
+
+@pytest.mark.parametrize("block", [1, 3, _BLOCK_EDGE_N - 1, _BLOCK_EDGE_N, _BLOCK_EDGE_N + 1])
+def test_leave_one_out_crosses_block_edge_against_oracle(block):
+    # short binary vectors, so that exact ties and duplicate rows in
+    # different blocks are common: a wrong self-exclusion index, a panel
+    # edge off by one or a lost column minimum changes some item
+    X, labels, oracle = _block_edge_case()
+    _assert_leave_one_out_kernels(ExemplarMemory.from_pairs(X, labels), block, oracle)
+    correct = sum(label == labels[i] for i, (label, _) in enumerate(oracle))
+    assert nn_leave_one_out(_nouns(X, labels)) == correct / len(X)
 
 
 # --------------------------------------------------------------------------
@@ -440,14 +477,54 @@ def test_integer_path_nn_bit_equal_to_float64_path(high):
     assert cross_class_ties > 10  # the case exercises the tie rule
 
 
+_INTEGER_LOO_N = 300
+
+
+@functools.cache
+def _integer_loo_case(high):
+    X, labels, _ = _integer_case(60 + high, high, n=_INTEGER_LOO_N)
+    oracle = [_integer_nn_oracle(X, labels, X[i], skip=i) for i in range(len(X))]
+    return X, labels, oracle
+
+
+@pytest.mark.parametrize("block", [1, 3, _INTEGER_LOO_N - 1, _INTEGER_LOO_N, _INTEGER_LOO_N + 1])
 @pytest.mark.parametrize("high", [2, 4])
-def test_integer_path_leave_one_out_matches_oracle(high):
-    X, labels, _ = _integer_case(60 + high, high, n=300)
-    correct = sum(
-        _integer_nn_oracle(X, labels, X[i], skip=i)[0] == labels[i] for i in range(len(X))
-    )
-    assert _exact_in_float32(X, X)
-    assert nn_leave_one_out(_nouns(X, labels)) == correct / len(X)
+def test_integer_path_leave_one_out_matches_oracle(high, block):
+    X, labels, oracle = _integer_loo_case(high)
+    assert _exact_in_float32(X, X, block)
+    _assert_leave_one_out_kernels(ExemplarMemory.from_pairs(X, labels), block, oracle)
+    if block == _INTEGER_LOO_N:
+        correct = sum(label == labels[i] for i, (label, _) in enumerate(oracle))
+        assert nn_leave_one_out(_nouns(X, labels)) == correct / len(X)
+
+
+@pytest.mark.parametrize("peak, panels", [(1448, True), (1449, False)])
+def test_leave_one_out_panel_key_bound(monkeypatch, peak, panels):
+    # 2 * (1 * (2 * peak)^2 + 2) is 16,773,636 below 2**24 at peak 1448 and
+    # 16,796,812 past it at 1449.  Item 0's only neighbour is item 1 of rank
+    # 1 at the largest distance, so its key 2 * (2 * peak)^2 + 1 is odd: at
+    # 1449 it would round in float32 and give item 0 the wrong class
+    X = np.array([[-peak], [peak]], dtype=np.float64)
+    labels = ["a", "b"]
+    memory = ExemplarMemory.from_pairs(X, labels)
+    assert _panel_keys_exact(X, 2) is panels
+    taken = []
+
+    def spy(kernel):
+        def run(*args):
+            taken.append(kernel.__name__)
+            return kernel(*args)
+        return run
+
+    for kernel in (_leave_one_out_panels, _leave_one_out_blocks):
+        monkeypatch.setattr(classifiers, kernel.__name__, spy(kernel))
+    assert nn_leave_one_out(_nouns(X, labels)) == 0.0  # a and b are each other's neighbour
+    assert taken == ["_leave_one_out_panels" if panels else "_leave_one_out_blocks"]
+    ranks, best = _float64_leave_one_out(memory)
+    assert ranks.tolist() == [1, 0] and best.tolist() == [(2 * peak) ** 2] * 2
+    if panels:
+        kernel_ranks, kernel_best = _leave_one_out_panels(X, memory.label_rank, 2)
+        assert kernel_ranks.tolist() == [1, 0] and np.array_equal(kernel_best, best)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -542,6 +619,17 @@ def test_integer_path_bound_keeps_large_values_on_float64():
         _integer_nn_oracle(X, labels, X[i], skip=i)[0] == labels[i] for i in range(len(X))
     )
     assert nn_leave_one_out(_nouns(X, labels)) == correct / len(X)
+
+
+@pytest.mark.parametrize("block", [1, 3, 9, 10, 11])
+def test_integer_scan_sees_every_row(block):
+    # a fractional or large entry in any row, on either side of a block edge
+    for row in range(10):
+        X = np.zeros((10, 2))
+        X[row, 1] = 0.5
+        assert _integer_peak(X, block) is None and not _exact_in_float32(X, X, block)
+        X[row, 1] = -4096
+        assert _integer_peak(X, block) == 4096 and not _panel_keys_exact(X, 1, block)
 
 
 _small_ints = st.integers(-3, 3)

@@ -169,6 +169,10 @@ def test_exit_code_1_config_errors(tmp_path, capsys):
         ({"nn": {"t_grid": [-1]}}, "nn.t_grid"),
         ({"gcm": {**SMALL_CONFIG["gcm"], "t_grid": [2]}}, "gcm.t_grid"),
         ({"mlp": {**SMALL_CONFIG["mlp"], "t_grid": [0.5, 1.5]}}, "mlp.t_grid"),
+        ({"mlp": {**SMALL_CONFIG["mlp"], "seeds": [-1]}}, "mlp.seeds"),
+        ({"mlp": {**SMALL_CONFIG["mlp"], "seeds": [1.5]}}, "mlp.seeds"),
+        ({"mlp": {**SMALL_CONFIG["mlp"], "seeds": [True]}}, "mlp.seeds"),
+        ({"mlp": {**SMALL_CONFIG["mlp"], "seeds": []}}, "mlp.seeds"),
     ],
 )
 def test_exit_code_1_invalid_config_values(tmp_path, capsys, overrides, message):
@@ -222,6 +226,35 @@ def test_exit_code_1_out_of_range_flags(tmp_path, capsys, toy_models, argv, mess
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "internal error" not in err
     assert not out.exists() and not (tmp_path / "model.json").exists()
+
+
+def test_exit_code_1_missing_model_out_directory(tmp_path, capsys):
+    model = tmp_path / "absent" / "m.json"
+    assert main(["train", TOY, "--model-out", str(model), "--classifier", "nn"]) == 1
+    err = capsys.readouterr().err
+    assert "--model-out" in err and "internal error" not in err
+    assert not model.parent.exists()
+
+
+@pytest.mark.parametrize("kind", ["nn", "gcm"])
+def test_exit_code_2_model_width_mismatch(tmp_path, capsys, toy_models, kind):
+    # the toy models were trained at the default 16 slots: 240 features
+    out = tmp_path / "out"
+    argv = ["evaluate", toy_models[kind], "--lexicon", TOY, "--slots", "12"]
+    assert main(argv + ["--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "240" in err and "180" in err and "internal error" not in err
+    assert not out.exists()
+
+
+def test_exit_code_2_invalid_utf8_lexicon(tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    # line 3 spells "Tür" in Latin-1, which is not UTF-8
+    bad.write_bytes("Frau\tf r aʊ\tf r aʊ ə n\n# note\n".encode("utf-8")
+                    + "Tür\tt yː r\tt yː r ə n\n".encode("latin-1", errors="replace"))
+    assert main(["ingest", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "UTF-8" in err and "internal error" not in err
 
 
 def test_exit_code_3_internal_errors(tmp_path, capsys, monkeypatch):

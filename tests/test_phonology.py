@@ -6,7 +6,6 @@ import pytest
 from pluralbench.errors import FeatureTableError, UnknownPhonemeError
 from pluralbench.phonology import (
     DEFAULT_SLOTS,
-    DISCARDED,
     IDENTITY,
     REWRITE,
     SUFFIX,
@@ -195,7 +194,11 @@ def test_canonical_names():
         )
         == "Umlaut+ʊs→ən"
     )
-    assert str(DISCARDED) == "Discarded"
+
+
+def test_plural_class_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="discarded"):
+        PluralClass(kind="discarded")
 
 
 def test_plural_class_orders_by_name():

@@ -204,3 +204,13 @@ def test_load_rejects_mlp_shape_mismatch(tmp_path):
         load_model(_write_doc(tmp_path, dict(doc, hidden=7)))
     with pytest.raises(ModelFormatError):
         load_model(_write_doc(tmp_path, dict(doc, classes=doc["classes"][:1])))
+
+
+def test_load_rejects_unknown_plural_class_kind(tmp_path):
+    train = _nouns(np.zeros((4, 3)), [IDENT, SUFFIX_EN, IDENT, SUFFIX_EN])
+    path = tmp_path / "mlp.json"
+    save_mlp(mlp_train(train, 2, 1, 0), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["classes"][0]["kind"] = "discarded"
+    with pytest.raises(ModelFormatError, match="discarded"):
+        load_model(_write_doc(tmp_path, doc))
