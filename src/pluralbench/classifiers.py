@@ -455,13 +455,16 @@ def gcm_optimize_scale(
 # --------------------------------------------------------------------------
 
 
-def _logistic(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _logistic(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Overflow-free logistic: where(z >= 0, 1, e) / (1 + e) with e = exp(-|z|).
+
+    Bit for bit, this is 1 / (1 + exp(-z)) for z >= 0 (-0.0 and +inf
+    included) and exp(z) / (1 + exp(z)) otherwise, NaN included: -|z| is
+    taken as min(z, -z), which returns a NaN with its sign.  ``out`` may be
+    ``z`` itself.
+    """
+    e = np.exp(np.minimum(z, -z))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 @dataclass(eq=False)
@@ -527,41 +530,56 @@ def mlp_train(
     return model
 
 
-def _mlp_train_checkpoints(train, hidden, checkpoint_epochs, seed, rate, momentum, eval_set=None):
-    """Train once up to max(checkpoint_epochs), snapshotting at each checkpoint.
-
-    Returns (final model, list of (epochs, model-or-accuracy)).  When
-    ``eval_set`` is given the checkpoint list carries accuracies and the
-    final model is the last checkpoint; training states at intermediate
-    checkpoints are identical to shorter runs with the same seed.
-    """
+def _training_patterns(train: list[EncodedNoun]):
+    """(class_set, input matrix, one-hot targets) for a training set."""
     if not train:
         raise ValueError("training set must be non-empty")
+    class_set = _class_order([n.label for n in train])
+    index = {c: i for i, c in enumerate(class_set)}
+    X = np.ascontiguousarray([n.vector for n in train], dtype=np.float64)
+    targets = np.zeros((len(train), len(class_set)), dtype=np.float64)
+    targets[np.arange(len(train)), [index[n.label] for n in train]] = 1.0
+    return class_set, X, targets
+
+
+def _mlp_checkpoints(patterns, hidden, checkpoint_epochs, seed, rate, momentum):
+    """Train once up to max(checkpoint_epochs), yielding (epoch, model) at each checkpoint.
+
+    The yielded model's weights are views of the live parameter buffer:
+    copy them to keep a snapshot.  All four weight arrays share one flat
+    buffer, as do their gradients and their velocities, so the momentum
+    step is four in-place calls.  Every update performs mlp_gradients'
+    arithmetic in its order, so the weights are bit-identical to applying
+    ``v = momentum * v - rate * grad; param += v`` to its gradients.
+    """
+    checkpoints = sorted(set(checkpoint_epochs))
     if hidden < 1:
         raise ValueError("hidden must be >= 1")
-    checkpoints = sorted(set(checkpoint_epochs))
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("epochs must be >= 1")
     if rate <= 0:
         raise ValueError("rate must be positive")
     if momentum < 0:
         raise ValueError("momentum must be non-negative")
-
-    class_set = _class_order([n.label for n in train])
-    index = {c: i for i, c in enumerate(class_set)}
-    X = np.ascontiguousarray([n.vector for n in train], dtype=np.float64)
-    n_in = X.shape[1]
+    class_set, X, targets = patterns
     n_out = len(class_set)
-    targets = np.zeros((len(train), n_out), dtype=np.float64)
-    for i, noun in enumerate(train):
-        targets[i, index[noun.label]] = 1.0
+    shapes = [(hidden, X.shape[1]), (hidden,), (n_out, hidden), (n_out,)]
+    bounds = np.cumsum([math.prod(s) for s in shapes])
 
+    def views(flat):
+        return [part.reshape(s) for part, s in zip(np.split(flat, bounds[:-1]), shapes)]
+
+    params, grads, velocity = np.empty(bounds[-1]), np.empty(bounds[-1]), np.zeros(bounds[-1])
     rng = np.random.default_rng(seed)
+    w_hidden, b_hidden, w_output, b_output = views(params)
+    for p in (w_hidden, b_hidden, w_output, b_output):
+        p[...] = rng.uniform(-0.1, 0.1, size=p.shape)
+    g_hidden, delta_hidden, g_output, delta_out = views(grads)
+    w_output_t = w_output.T
+    h, out = np.empty(hidden), np.empty(n_out)
+    h_slope, out_slope = np.empty(hidden), np.empty(n_out)
     model = MlpModel(
-        w_hidden=rng.uniform(-0.1, 0.1, size=(hidden, n_in)),
-        b_hidden=rng.uniform(-0.1, 0.1, size=hidden),
-        w_output=rng.uniform(-0.1, 0.1, size=(n_out, hidden)),
-        b_output=rng.uniform(-0.1, 0.1, size=n_out),
+        w_hidden=w_hidden, b_hidden=b_hidden, w_output=w_output, b_output=b_output,
         class_set=class_set,
         metadata={
             "hidden": hidden,
@@ -571,35 +589,57 @@ def _mlp_train_checkpoints(train, hidden, checkpoint_epochs, seed, rate, momentu
             "momentum": momentum,
         },
     )
-    velocity = [np.zeros_like(p) for p in
-                (model.w_hidden, model.b_hidden, model.w_output, model.b_output)]
-    snapshots = []
     for epoch in range(1, checkpoints[-1] + 1):
-        for i in rng.permutation(len(X)):
-            grads = mlp_gradients(model, X[i], targets[i])
-            params = (model.w_hidden, model.b_hidden, model.w_output, model.b_output)
-            for vel, param, grad in zip(velocity, params, grads):
-                vel *= momentum
-                vel -= rate * grad
-                param += vel
+        for i in rng.permutation(len(X)).tolist():
+            x = X[i]
+            np.dot(w_hidden, x, out=h)
+            h += b_hidden
+            _logistic(h, out=h)
+            np.dot(w_output, h, out=out)
+            out += b_output
+            _logistic(out, out=out)
+            # delta_out = (out - target) * out * (1 - out)
+            np.subtract(out, targets[i], out=delta_out)
+            delta_out *= out
+            np.subtract(1.0, out, out=out_slope)
+            delta_out *= out_slope
+            # delta_hidden = (w_output.T @ delta_out) * h * (1 - h)
+            np.dot(w_output_t, delta_out, out=delta_hidden)
+            delta_hidden *= h
+            np.subtract(1.0, h, out=h_slope)
+            delta_hidden *= h_slope
+            np.multiply.outer(delta_hidden, x, out=g_hidden)
+            np.multiply.outer(delta_out, h, out=g_output)
+            velocity *= momentum
+            grads *= rate
+            velocity -= grads
+            params += velocity
         if epoch in checkpoints:
-            if eval_set is None:
-                snap = MlpModel(
-                    w_hidden=model.w_hidden.copy(),
-                    b_hidden=model.b_hidden.copy(),
-                    w_output=model.w_output.copy(),
-                    b_output=model.b_output.copy(),
-                    class_set=class_set,
-                    metadata=dict(model.metadata, epochs=epoch),
-                )
-                snapshots.append((epoch, snap))
-            else:
-                decisions, _ = mlp_decide_batch(model, [n.vector for n in eval_set])
-                acc = sum(d == n.label for d, n in zip(decisions, eval_set)) / len(eval_set)
-                snapshots.append((epoch, acc))
-    if eval_set is None:
-        return snapshots[-1][1], snapshots
-    return model, snapshots
+            yield epoch, model
+
+
+def _mlp_train_checkpoints(train, hidden, checkpoint_epochs, seed, rate, momentum):
+    """Train once up to max(checkpoint_epochs), snapshotting at each checkpoint.
+
+    Returns (final model, list of (epochs, model)); the states at
+    intermediate checkpoints are identical to shorter runs with the same
+    seed.
+    """
+    patterns = _training_patterns(train)
+    snapshots = [
+        (epoch, MlpModel(
+            w_hidden=model.w_hidden.copy(),
+            b_hidden=model.b_hidden.copy(),
+            w_output=model.w_output.copy(),
+            b_output=model.b_output.copy(),
+            class_set=model.class_set,
+            metadata=dict(model.metadata, epochs=epoch),
+        ))
+        for epoch, model in _mlp_checkpoints(
+            patterns, hidden, checkpoint_epochs, seed, rate, momentum
+        )
+    ]
+    return snapshots[-1][1], snapshots
 
 
 def mlp_classify(model: MlpModel, query) -> ClassifierResponse:
@@ -648,13 +688,17 @@ def mlp_grid_sweep(
     seeds = list(seeds)
     if not hidden_grid or not epoch_grid or not seeds:
         raise ValueError("sweep grids must be non-empty")
+    patterns = _training_patterns(train)
+    queries = np.asarray([n.vector for n in eval_set], dtype=np.float64)
+    labels = [n.label for n in eval_set]
     rows = []
     for hidden in hidden_grid:
         for seed in seeds:
-            _, checkpoints = _mlp_train_checkpoints(
-                train, hidden, epoch_grid, seed, rate, momentum, eval_set=eval_set
-            )
-            for epochs, acc in checkpoints:
+            for epochs, model in _mlp_checkpoints(
+                patterns, hidden, epoch_grid, seed, rate, momentum
+            ):
+                decisions, _ = mlp_decide_batch(model, queries)
+                acc = sum(d == lab for d, lab in zip(decisions, labels)) / len(labels)
                 rows.append((hidden, epochs, seed, acc))
     best = min(rows, key=lambda r: (-r[3], r[1], r[0], r[2]))
     return rows, best

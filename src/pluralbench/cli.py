@@ -55,6 +55,7 @@ from .harness import (
     emit_frequency_table,
     expand_grid,
     load_config,
+    require_file,
     run_experiment,
 )
 from .hybrid import HybridConfig, hybrid_decide_batch
@@ -100,20 +101,17 @@ def _outdir(config: ExperimentConfig) -> Path:
 def _load_table(config: ExperimentConfig):
     if config.feature_table is None:
         return default_feature_table()
-    if not Path(config.feature_table).exists():
-        raise ConfigError(f"feature table file not found: {config.feature_table}")
+    require_file(config.feature_table, "feature table")
     return load_feature_table(config.feature_table)
 
 
 def _pipeline(config: ExperimentConfig, table):
     """ingest -> exclusions -> frequency filter -> compounds; returns stages."""
-    if not Path(config.lexicon).exists():
-        raise ConfigError(f"lexicon file not found: {config.lexicon}")
+    require_file(config.lexicon, "lexicon")
     entries = ingest(config.lexicon, table)
     n_ingested = len(entries)
     if config.exclusions is not None:
-        if not Path(config.exclusions).exists():
-            raise ConfigError(f"exclusion list file not found: {config.exclusions}")
+        require_file(config.exclusions, "exclusion list")
         entries = apply_exclusions(entries, load_exclusion_list(config.exclusions))
     kept, discarded = filter_by_type_frequency(entries, config.filter_min_fraction)
     if config.compound_matching == "off":

@@ -56,6 +56,18 @@ class DataSplit:
     default_class: PluralClass
 
 
+def _read_utf8(path) -> str:
+    """A file's text; invalid UTF-8 is a LexiconFormatError naming the line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise LexiconFormatError(
+            f"invalid UTF-8 in {path} ({exc.reason})", line_number=lineno
+        ) from None
+
+
 def ingest(path, table: FeatureTable) -> list[LexiconEntry]:
     """Parse a lexicon file and derive each entry's plural class.
 
@@ -63,12 +75,7 @@ def ingest(path, table: FeatureTable) -> list[LexiconEntry]:
     feature table.  ``source_id`` is the orthography, suffixed with ``#k``
     for repeated spellings so that identifiers stay unique.
     """
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise LexiconFormatError(f"invalid UTF-8 ({exc.reason})", line_number=lineno) from None
+    text = _read_utf8(path)
     entries: list[LexiconEntry] = []
     seen: Counter[str] = Counter()
     # universal newlines, as a text-mode file gives them
@@ -115,7 +122,7 @@ def apply_exclusions(entries: list[LexiconEntry], exclusions) -> list[LexiconEnt
 def load_exclusion_list(path) -> list[str]:
     """Read an exclusion-list file: one orthography per line, ``#`` comments."""
     words = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in _read_utf8(path).splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             words.append(line)

@@ -205,12 +205,22 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def load_config(path) -> ExperimentConfig:
+def require_file(path, what: str) -> None:
+    """Raise ConfigError unless ``path`` names an existing regular file."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{what} is not a file: {path}")
+
+
+def load_config(path) -> ExperimentConfig:
+    path = Path(path)
+    require_file(path, "config")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -487,13 +497,11 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> Report:
     never references the output location, so identical configs and inputs
     give byte-identical reports wherever they are written.
     """
-    lexicon_path = Path(config.lexicon)
-    if not lexicon_path.exists():
-        raise ConfigError(f"lexicon file not found: {lexicon_path}")
-    if config.feature_table is not None and not Path(config.feature_table).exists():
-        raise ConfigError(f"feature table file not found: {config.feature_table}")
-    if config.exclusions is not None and not Path(config.exclusions).exists():
-        raise ConfigError(f"exclusion list file not found: {config.exclusions}")
+    require_file(config.lexicon, "lexicon")
+    if config.feature_table is not None:
+        require_file(config.feature_table, "feature table")
+    if config.exclusions is not None:
+        require_file(config.exclusions, "exclusion list")
 
     outdir = Path(output_dir if output_dir is not None else config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -503,7 +511,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> Report:
     else:
         table = _stage("load-feature-table", load_feature_table, config.feature_table)
 
-    entries = _stage("ingest", ingest, lexicon_path, table)
+    entries = _stage("ingest", ingest, config.lexicon, table)
     n_ingested = len(entries)
     n_excluded = 0
     if config.exclusions is not None:

@@ -688,6 +688,92 @@ def test_logistic_outputs_match_definition_and_saturate():
     assert sym[0] == pytest.approx(1.0, abs=1e-15)
 
 
+def _two_branch_logistic(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_logistic_bits_match_two_branch_formula():
+    from pluralbench.classifiers import _logistic
+
+    tiny = np.finfo(np.float64).smallest_subnormal
+    z = np.array([
+        0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 0.5, -0.5, 36.7, -36.7,
+        700.0, -700.0, 745.0, -745.0, 746.0, -746.0,
+        np.inf, -np.inf, np.nan, -np.nan,
+    ])
+    z = np.concatenate([z, np.random.default_rng(15).normal(scale=20.0, size=1000)])
+    with np.errstate(all="ignore"):
+        want = _two_branch_logistic(z)
+        got = _logistic(z)
+        into = np.empty_like(z)
+        assert _logistic(z, out=into) is into
+        in_place = z.copy()
+        _logistic(in_place, out=in_place)
+    for result in (got, into, in_place):
+        assert np.array_equal(result.view(np.int64), want.view(np.int64))
+
+
+def _reference_mlp_train(train, hidden, epochs, seed, rate, momentum, seen):
+    """The per-pattern momentum loop on top of mlp_gradients, one array per
+    parameter; appends each update's pre-activations and activations to
+    ``seen``."""
+    class_set = classifiers._class_order([n.label for n in train])
+    index = {c: i for i, c in enumerate(class_set)}
+    X = np.array([n.vector for n in train], dtype=np.float64)
+    targets = np.zeros((len(train), len(class_set)))
+    for i, noun in enumerate(train):
+        targets[i, index[noun.label]] = 1.0
+    rng = np.random.default_rng(seed)
+    model = MlpModel(
+        w_hidden=rng.uniform(-0.1, 0.1, size=(hidden, X.shape[1])),
+        b_hidden=rng.uniform(-0.1, 0.1, size=hidden),
+        w_output=rng.uniform(-0.1, 0.1, size=(len(class_set), hidden)),
+        b_output=rng.uniform(-0.1, 0.1, size=len(class_set)),
+        class_set=class_set,
+    )
+    params = (model.w_hidden, model.b_hidden, model.w_output, model.b_output)
+    velocity = [np.zeros_like(p) for p in params]
+    for _ in range(epochs):
+        for i in rng.permutation(len(X)):
+            z_hidden = model.w_hidden @ X[i] + model.b_hidden
+            h, out = model.forward(X[i])
+            seen.append((z_hidden, model.w_output @ h + model.b_output, h, out))
+            grads = mlp_gradients(model, X[i], targets[i])
+            for vel, param, grad in zip(velocity, params, grads):
+                vel *= momentum
+                vel -= rate * grad
+                param += vel
+    return model
+
+
+@pytest.mark.parametrize("inputs", ["binary", "fractional"])
+@pytest.mark.parametrize("hidden", [1, 7, 50])
+def test_mlp_train_weights_bit_identical_to_gradient_reference(inputs, hidden):
+    rng = np.random.default_rng(16)
+    X = rng.random((40, 240))
+    if inputs == "binary":
+        X = (X < 0.3).astype(np.float64)
+    train = _nouns(X, [f"c{k}" for k in rng.integers(0, 5, len(X))])
+    seen = []
+    # a rate and momentum far above the defaults drive units into saturation
+    want = _reference_mlp_train(train, hidden, 4, 3, 4.0, 0.95, seen)
+    got = mlp_train(train, hidden, 4, 3, rate=4.0, momentum=0.95)
+    for name in ("w_hidden", "b_hidden", "w_output", "b_output"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+    z = np.concatenate([s[0] for s in seen] + [s[1] for s in seen])
+    act = np.concatenate([s[2] for s in seen] + [s[3] for s in seen])
+    assert (z >= 0).any() and (z < 0).any()
+    # saturated at float64 resolution: exactly 1, or too small to move 1 - a
+    assert ((act == 1.0) | (1.0 - act == 1.0)).any()
+
+
 def _random_net(rng, n_in=4, n_hidden=3, n_out=2):
     return MlpModel(
         w_hidden=rng.uniform(-0.5, 0.5, size=(n_hidden, n_in)),
@@ -806,6 +892,21 @@ def test_mlp_grid_sweep_tie_breaks_to_cheapest():
     assert best == (2, 1, 1, 1.0)
 
 
+def test_mlp_grid_sweep_tie_prefers_fewer_epochs_over_fewer_hidden():
+    # (1 hidden, 20 epochs) ties (6 hidden, 1 epoch) at the top, and
+    # (1 hidden, 1 epoch) scores below both: fewer epochs must win
+    rng = np.random.default_rng(226)
+    X = np.concatenate([rng.normal(0, 1, (6, 2)), rng.normal(2, 1, (6, 2))])
+    train = _nouns(X, ["a"] * 6 + ["b"] * 6)
+    E = np.concatenate([rng.normal(0, 1, (2, 2)), rng.normal(2, 1, (2, 2))])
+    eval_set = _nouns(E, ["a", "a", "b", "b"])
+    rows, best = mlp_grid_sweep(train, eval_set, [1, 6], [1, 20], [0], rate=0.5)
+    acc = {(hidden, epochs): a for hidden, epochs, _, a in rows}
+    top = max(acc.values())
+    assert acc[(1, 20)] == acc[(6, 1)] == top > acc[(1, 1)]
+    assert best == (6, 1, 0, top)
+
+
 def test_mlp_train_validation():
     train = _nouns(np.zeros((2, 2)), ["a", "b"])
     with pytest.raises(ValueError):
@@ -830,6 +931,13 @@ def test_evaluate_accuracy_and_confusion():
     assert accuracy == pytest.approx(1 / 3)
     assert confusion.classes == ["a", "b"]
     assert confusion.counts.tolist() == [[1, 1], [1, 0]]
+
+
+def test_evaluate_confusion_rows_are_true_classes():
+    # two "a" items predicted "b", one "b" item predicted "a"
+    _, confusion = evaluate(["b", "b", "a", "a"], ["a", "a", "b", "a"])
+    assert confusion.classes == ["a", "b"]
+    assert confusion.counts.tolist() == [[1, 2], [1, 0]]
 
 
 def test_evaluate_accepts_responses():

@@ -257,6 +257,49 @@ def test_exit_code_2_invalid_utf8_lexicon(tmp_path, capsys):
     assert "line 3" in err and "UTF-8" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("command", ["ingest", "report"])
+def test_exit_code_2_invalid_utf8_exclusion_list(tmp_path, capsys, command):
+    exclusions = tmp_path / "exclusions.txt"
+    # line 3 spells "Tür" in Latin-1, which is not UTF-8
+    exclusions.write_bytes(b"Hund\n# note\n" + "Tür\n".encode("latin-1"))
+    argv = [command, TOY, "--exclusions", str(exclusions), "--output-dir", str(tmp_path / "out")]
+    if command == "report":
+        argv += ["--config", _write_config(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "UTF-8" in err and "internal error" not in err
+
+
+def test_exit_code_1_invalid_utf8_config(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps(SMALL_CONFIG).encode("utf-8")[:-1] + b', "x": "\xff"}')
+    assert main(["report", "--config", str(config), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "{dir}"],
+        ["report", "{dir}", "--config", "{config}"],
+        ["ingest", TOY, "--feature-table", "{dir}"],
+        ["ingest", TOY, "--exclusions", "{dir}"],
+        ["report", TOY, "--exclusions", "{dir}", "--config", "{config}"],
+        ["report", "--config", "{dir}"],
+    ],
+)
+def test_exit_code_1_directory_as_input_file(tmp_path, capsys, argv):
+    directory = tmp_path / "inputs"
+    directory.mkdir()
+    argv = [a.format(dir=directory, config=_write_config(tmp_path)) for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "not a file" in err and "internal error" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_exit_code_3_internal_errors(tmp_path, capsys, monkeypatch):
     # an unexpected failure inside a stage is neither a config nor a data error
     def fail(*args, **kwargs):
