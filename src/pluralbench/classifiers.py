@@ -96,9 +96,17 @@ def _distance_blocks(X: np.ndarray, Q: np.ndarray, block: int = _BLOCK):
 
 
 def _nearest_ranks(sq: np.ndarray, label_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: lowest class rank among the nearest exemplars, and their squared distance."""
-    best = sq.min(axis=1)
-    return np.array([label_rank[np.flatnonzero(r == b)].min() for r, b in zip(sq, best)]), best
+    """Per row: lowest class rank among the nearest exemplars, and their squared distance.
+
+    One argmin serves every row with a unique minimum; only rows where it
+    is not unique (ties, or NaN rows, which raise) take the per-row rule.
+    """
+    nearest = sq.argmin(axis=1)
+    best = sq[np.arange(len(sq)), nearest]
+    ranks = label_rank[nearest]
+    for i in np.flatnonzero(np.count_nonzero(sq == best[:, None], axis=1) != 1):
+        ranks[i] = label_rank[np.flatnonzero(sq[i] == best[i])].min()
+    return ranks, best
 
 
 def _panel_keys_exact(X: np.ndarray, n_classes: int, block: int = _BLOCK) -> bool:

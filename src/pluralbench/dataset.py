@@ -14,7 +14,6 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .phonology import (
     FeatureTable,
     Phonemes,
     PluralClass,
+    _read_utf8,
     derive_plural_class,
     encode_word,
     parse_phonemes,
@@ -56,18 +56,6 @@ class DataSplit:
     default_class: PluralClass
 
 
-def _read_utf8(path) -> str:
-    """A file's text; invalid UTF-8 is a LexiconFormatError naming the line."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise LexiconFormatError(
-            f"invalid UTF-8 in {path} ({exc.reason})", line_number=lineno
-        ) from None
-
-
 def ingest(path, table: FeatureTable) -> list[LexiconEntry]:
     """Parse a lexicon file and derive each entry's plural class.
 
@@ -75,7 +63,7 @@ def ingest(path, table: FeatureTable) -> list[LexiconEntry]:
     feature table.  ``source_id`` is the orthography, suffixed with ``#k``
     for repeated spellings so that identifiers stay unique.
     """
-    text = _read_utf8(path)
+    text = _read_utf8(path, LexiconFormatError)
     entries: list[LexiconEntry] = []
     seen: Counter[str] = Counter()
     # universal newlines, as a text-mode file gives them
@@ -122,7 +110,7 @@ def apply_exclusions(entries: list[LexiconEntry], exclusions) -> list[LexiconEnt
 def load_exclusion_list(path) -> list[str]:
     """Read an exclusion-list file: one orthography per line, ``#`` comments."""
     words = []
-    for raw in _read_utf8(path).splitlines():
+    for raw in _read_utf8(path, LexiconFormatError).splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             words.append(line)

@@ -70,6 +70,17 @@ class FeatureTable:
                 raise UnknownPhonemeError(symbol, position=pos, context=context)
 
 
+def _read_utf8(path, error) -> str:
+    """A file's text without a leading BOM; invalid UTF-8 raises
+    ``error(message, line_number)``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"invalid UTF-8 in {path} ({exc.reason})", lineno) from None
+
+
 def load_feature_table(path) -> FeatureTable:
     """Load and validate a tab-separated feature table.
 
@@ -79,7 +90,8 @@ def load_feature_table(path) -> FeatureTable:
     """
     path = Path(path)
     rows = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    text = _read_utf8(path, lambda message, line: FeatureTableError(f"line {line}: {message}"))
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue

@@ -22,7 +22,7 @@ import numpy as np
 
 from .classifiers import ExemplarMemory, GcmParams, MlpModel
 from .errors import ModelFormatError
-from .phonology import PluralClass
+from .phonology import PluralClass, _read_utf8
 
 FORMAT_NAME = "pluralbench-model"
 FORMAT_VERSION = 1
@@ -161,7 +161,8 @@ def _dump(doc: dict, path) -> None:
 def load_model(path) -> SavedModel:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        text = _read_utf8(path, lambda message, line: ModelFormatError(f"line {line}: {message}"))
+        doc = json.loads(text)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}")
     except json.JSONDecodeError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import ExemplarMemory, nn_decide_batch, _sq_distances
+from .classifiers import ExemplarMemory, nn_decide_batch, _distance_blocks
 from .hybrid import HybridConfig, SweepCurve, threshold_sweep
 from .dataset import EncodedNoun
 
@@ -172,6 +172,17 @@ def compare_simple_vs_hybrid(
     return simple_accuracy, curve, verdict
 
 
+def _nearest_sq(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Per row of Q: squared distance to its nearest row of X, or, when
+    ``Q is X``, to its nearest other row; one blocked pass, bounded memory."""
+    best = np.empty(len(Q))
+    for start, sq in _distance_blocks(X, Q):
+        if Q is X:
+            np.fill_diagonal(sq[:, start:], np.inf)
+        best[start : start + len(sq)] = sq.min(axis=1)
+    return best
+
+
 def regular_taxonomy(
     sample: SyntheticSample, radius: float | None = None, multiplier: float = 2.0
 ) -> tuple[int, int]:
@@ -193,11 +204,9 @@ def regular_taxonomy(
         raise ValueError("sample has no irregular points")
 
     if radius is None:
-        sq = _sq_distances(irregular, irregular)
-        np.fill_diagonal(sq, np.inf)
-        nn_dist = np.sqrt(sq.min(axis=1))
+        nn_dist = np.sqrt(_nearest_sq(irregular, irregular))
         radius = float(np.median(nn_dist)) * multiplier
 
-    d_to_irregular = np.sqrt(_sq_distances(irregular, regular).min(axis=1))
+    d_to_irregular = np.sqrt(_nearest_sq(irregular, regular))
     interfacial = int(np.count_nonzero(d_to_irregular < radius))
     return interfacial, len(regular) - interfacial

@@ -457,6 +457,41 @@ def _integer_case(seed, high, n=200, dim=6, n_queries=300):
     return X, labels, Q
 
 
+def _per_row_nearest_ranks(sq, label_rank):
+    """Per row: lowest rank among every column at the row minimum."""
+    best = sq.min(axis=1)
+    return np.array([label_rank[np.flatnonzero(r == b)].min() for r, b in zip(sq, best)]), best
+
+
+def test_nearest_ranks_matches_per_row_rule_with_planted_ties():
+    rng = np.random.default_rng(45)
+    X = rng.normal(size=(300, 2))
+    # exemplars 280.. copy 0..19 exactly: 0..9 under another class, 10..19 the same
+    X[280:] = X[:20]
+    labels = [["a", "b", "c"][int(i)] for i in rng.choice(3, 300, p=[0.5, 0.3, 0.2])]
+    for i in range(10):
+        labels[280 + i] = "a" if labels[i] != "a" else "c"
+        labels[290 + i] = labels[10 + i]
+    memory = ExemplarMemory.from_pairs(X, labels)
+    # queries 0..39 sit on the copied exemplars, the rest on untied ones
+    Q = np.concatenate([X[:20], X[:20] + 1e-9, rng.normal(size=(260, 2))])
+    sq = _sq_distances(memory.vectors, Q)
+    tied = np.count_nonzero(sq == sq.min(axis=1)[:, None], axis=1) > 1
+    assert tied[:40].all() and np.count_nonzero(~tied) > len(Q) // 2
+    ranks, best = _nearest_ranks(sq, memory.label_rank)
+    want_ranks, want_best = _per_row_nearest_ranks(sq, memory.label_rank)
+    assert np.array_equal(ranks, want_ranks) and best.tobytes() == want_best.tobytes()
+    # the first nearest exemplar alone would be wrong on some tied rows
+    assert np.any(ranks != memory.label_rank[sq.argmin(axis=1)])
+    for start, block in _distance_blocks(memory.vectors, Q):
+        ranks, best = _nearest_ranks(block, memory.label_rank)
+        assert np.array_equal(ranks, want_ranks[start : start + len(block)])
+        assert best.tobytes() == want_best[start : start + len(block)].tobytes()
+    sq[7, 3] = np.nan
+    with pytest.raises(ValueError):
+        _nearest_ranks(sq, memory.label_rank)
+
+
 @pytest.mark.parametrize("high", [2, 4])
 def test_integer_path_nn_bit_equal_to_float64_path(high):
     X, labels, Q = _integer_case(50 + high, high)

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour and exit-code mapping."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from pluralbench.dataset import filter_by_type_frequency, ingest, remove_compoun
 from pluralbench.phonology import bundled_data_path, default_feature_table
 
 TOY = str(bundled_data_path("toy_lexicon.tsv"))
+FEATURE_TABLE = bundled_data_path("feature_table.tsv")
 
 SMALL_CONFIG = {
     "lexicon": TOY,
@@ -268,6 +270,42 @@ def test_exit_code_2_invalid_utf8_exclusion_list(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "line 3" in err and "UTF-8" in err and "internal error" not in err
+
+
+def test_exit_code_2_invalid_utf8_feature_table(tmp_path, capsys):
+    table = tmp_path / "table.tsv"
+    # line 2 is a comment ending in a Latin-1 byte, which is not UTF-8
+    table.write_bytes(b"# table\n# caf\xe9\n" + FEATURE_TABLE.read_bytes())
+    argv = ["ingest", TOY, "--feature-table", str(table), "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "UTF-8" in err and "internal error" not in err
+
+
+def test_exit_code_2_invalid_utf8_model_file(tmp_path, capsys, toy_models):
+    model = tmp_path / "model.json"
+    model.write_bytes(Path(toy_models["nn"]).read_bytes() + b"\xff")
+    out = tmp_path / "out"
+    assert main(["evaluate", str(model), "--lexicon", TOY, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "internal error" not in err
+    assert not out.exists()
+
+
+def test_utf8_bom_inputs_read_as_without_it(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    lexicon, table, exclusions = tmp_path / "lex.tsv", tmp_path / "table.tsv", tmp_path / "ex.txt"
+    lexicon.write_bytes(bom + Path(TOY).read_bytes())
+    table.write_bytes(bom + FEATURE_TABLE.read_bytes())
+    exclusions.write_bytes(bom + b"Frau\n")  # the toy lexicon's first entry
+    outputs = {}
+    for name, files in (("plain", (TOY, FEATURE_TABLE)), ("bom", (lexicon, table))):
+        out = tmp_path / name
+        argv = ["encode", str(files[0]), "--feature-table", str(files[1])]
+        assert main(argv + ["--exclusions", str(exclusions), "--output-dir", str(out)]) == 0
+        outputs[name] = (out / "encoded.csv").read_bytes()
+    assert outputs["bom"] == outputs["plain"]
+    assert b"\nFrau," not in outputs["plain"]
 
 
 def test_exit_code_1_invalid_utf8_config(tmp_path, capsys):

@@ -184,6 +184,16 @@ def test_remove_compounds_phoneme_suffix_rule():
     assert [e.orthography for e in kept] == ["Haus", "Maus"]
 
 
+def test_remove_compounds_one_phoneme_remainder():
+    entries = [
+        _entry("Ei", "aɪ", "aɪ ər", SUFFIX_N),
+        _entry("Hai", "h aɪ", "h aɪ ə", SUFFIX_N),
+        _entry("Aal", "aː l", "aː l ə", SUFFIX_N),
+    ]
+    # one phoneme (h) before an entry's whole word is enough for a compound
+    assert [e.orthography for e in remove_compounds(entries)] == ["Ei", "Aal"]
+
+
 def test_remove_compounds_orthography_mode():
     entries = [
         _entry("Tür", "t yː r", "t yː r ə n", SUFFIX_N),

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pluralbench.dataset import ingest
+from pluralbench.dataset import ingest, remove_compounds, split
 from pluralbench.errors import ConfigError, ExperimentError, LexiconFormatError
 from pluralbench.harness import (
     DEFAULT_GCM,
@@ -17,6 +17,7 @@ from pluralbench.harness import (
     Report,
     _csv_bytes,
     _expand_int_grid,
+    _selection_sets,
     emit_frequency_table,
     emit_summary,
     expand_grid,
@@ -288,6 +289,19 @@ def test_run_experiment_validation_selection(tmp_path):
     report = run_experiment(config)
     assert report.payload["provenance"]["selection"] == "validation"
     assert report.payload["classifiers"]["gcm"]["simple_s"] in (1.0, 2.0)
+
+
+def test_validation_selection_partitions_the_training_half(tmp_path):
+    config = _small_config(tmp_path, selection="validation", validation_fraction=0.25)
+    table = default_feature_table()
+    data = split(remove_compounds(ingest(TOY, table)), table, seed=config.split_seed)
+    memory, validation = _selection_sets(config, data)
+    memory_ids = {n.source_id for n in memory}
+    validation_ids = {n.source_id for n in validation}
+    assert len(validation) == round(0.25 * len(data.train))
+    assert not memory_ids & validation_ids
+    assert memory_ids | validation_ids == {n.source_id for n in data.train}
+    assert len(memory) + len(validation) == len(data.train)
 
 
 def test_run_experiment_config_errors(tmp_path):

@@ -1,13 +1,17 @@
 """Pseudolanguage generation and the simple-vs-hybrid comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pluralbench.classifiers import _exact_in_float32, _sq_distances
 from pluralbench.synthetic import (
     GAUSSIAN,
     UNIFORM,
     LanguageSpec,
     SyntheticSample,
+    _nearest_sq,
     compare_simple_vs_hybrid,
     generate_language,
     language_1,
@@ -138,6 +142,76 @@ def test_taxonomy_rejects_single_sided_samples():
     )
     with pytest.raises(ValueError):
         regular_taxonomy(no_default)
+
+
+def _split_default(sample):
+    is_default = sample.labels == sample.spec.default_class_index
+    return sample.coords[~is_default], sample.coords[is_default]
+
+
+def _unblocked_taxonomy(sample, multiplier=2.0):
+    """regular_taxonomy on whole N² matrices, as before blocking: (squared
+    distance of each irregular point to its nearest other irregular point,
+    of each regular point to its nearest irregular point, the counts)."""
+    irregular, regular = _split_default(sample)
+    sq = _sq_distances(irregular, irregular)
+    np.fill_diagonal(sq, np.inf)
+    nn_sq = sq.min(axis=1)
+    radius = float(np.median(np.sqrt(nn_sq))) * multiplier
+    to_irregular = _sq_distances(irregular, regular).min(axis=1)
+    interfacial = int(np.count_nonzero(np.sqrt(to_irregular) < radius))
+    return nn_sq, to_irregular, (interfacial, len(regular) - interfacial)
+
+
+@pytest.mark.parametrize("preset", [language_1, language_2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_blocked_taxonomy_equals_unblocked_matrices(preset, seed):
+    # 1,200 irregular and 300 regular points: both passes cross a 256-row block edge
+    sample = generate_language(preset(seed=seed, points_per_class=300))
+    nn_sq, to_irregular, counts = _unblocked_taxonomy(sample)
+    irregular, regular = _split_default(sample)
+    assert _nearest_sq(irregular, irregular).tobytes() == nn_sq.tobytes()
+    assert _nearest_sq(irregular, regular).tobytes() == to_irregular.tobytes()
+    assert regular_taxonomy(sample) == counts
+
+
+def test_blocked_taxonomy_integer_duplicates_across_blocks():
+    # 600 distinct irregular grid points 3 apart, then exact duplicates
+    # planted in other 256-row blocks
+    grid = np.stack(np.meshgrid(np.arange(25), np.arange(24)), axis=-1).reshape(-1, 2)
+    irregular = 3.0 * grid
+    irregular[[520, 300]] = irregular[[10, 5]]
+    # 300 regular points: 100 duplicates of irregular points, 200 far away
+    regular = 700.0 + 3.0 * grid[:300]
+    regular[::3] = irregular[np.arange(0, 600, 6)]
+    coords = np.concatenate([irregular, regular])
+    labels = np.repeat(np.array([0, 4], dtype=np.intp), [600, 300])
+    sample = SyntheticSample(coords=coords, labels=labels, spec=language_2())
+    assert _exact_in_float32(irregular, irregular) and _exact_in_float32(irregular, regular)
+
+    nn_sq = _nearest_sq(irregular, irregular)
+    for i, q in enumerate(irregular):
+        others = np.delete(irregular, i, axis=0)
+        assert nn_sq[i] == ((others - q) ** 2).sum(axis=1).min()
+    # a duplicate is at distance 0; only the item itself is excluded
+    assert nn_sq[[5, 10, 300, 520]].tolist() == [0.0] * 4
+    assert np.count_nonzero(nn_sq == 0) == 4
+    to_irregular = _nearest_sq(irregular, regular)
+    assert np.count_nonzero(to_irregular == 0) == 100
+    nn_ref, to_ref, counts = _unblocked_taxonomy(sample)
+    assert nn_sq.tobytes() == nn_ref.tobytes() and to_irregular.tobytes() == to_ref.tobytes()
+    assert regular_taxonomy(sample) == counts == (100, 200)
+
+
+def test_taxonomy_memory_is_bounded():
+    sample = generate_language(language_2(seed=1, points_per_class=1000))
+    tracemalloc.start()
+    try:
+        regular_taxonomy(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def _spread_language(seed, bounds):
