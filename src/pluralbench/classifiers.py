@@ -20,8 +20,9 @@ import numpy as np
 from .dataset import EncodedNoun
 
 # Queries are processed in blocks to bound the size of the pairwise
-# distance matrix on large exemplar sets.
+# distance matrix on large exemplar sets; _nearest_window's are smaller.
 _BLOCK = 256
+_WINDOW_BLOCK = 64
 
 
 def _class_order(labels) -> list:
@@ -32,10 +33,17 @@ def _class_order(labels) -> list:
 def _sq_distances(X: np.ndarray, Q: np.ndarray, x2=None, out=None) -> np.ndarray:
     """(len(Q), len(X)) squared Euclidean distances, computed in ``out`` if given.
 
-    ||x||^2 - 2 x.q + ||q||^2 in place on one matrix (``x2``: exemplar norms,
-    if known).  Exact for small-integer-valued vectors (binary feature
-    bundles); the one shared formula keeps ties identical on every path.
+    At dim <= 2 the difference form sum_k (q_k - x_k)^2: no cancellation,
+    and bits independent of the call's shape.  Otherwise ||x||^2 - 2 x.q +
+    ||q||^2 in place (``x2``: exemplar norms, if known), exact for small
+    integers.  One formula per dim keeps ties identical on every path.
     """
+    if 0 < X.shape[1] <= 2:
+        sq = np.subtract.outer(Q[:, 0], X[:, 0], out=out)
+        sq *= sq
+        for k in range(1, X.shape[1]):
+            sq += np.subtract.outer(Q[:, k], X[:, k]) ** 2
+        return sq
     if x2 is None:
         x2 = np.einsum("ij,ij->i", X, X)
     q2 = np.einsum("ij,ij->i", Q, Q)
@@ -160,19 +168,61 @@ def _leave_one_out_panels(
     return keys % C, keys // C
 
 
-def _leave_one_out_blocks(
-    X: np.ndarray, label_rank: np.ndarray, block: int = _BLOCK
+def _nearest_window(
+    X: np.ndarray, label_rank: np.ndarray, Q: np.ndarray, exclude_self: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_leave_one_out_panels' result from one _distance_blocks pass over
-    every pair, each item's distance to itself set to inf; serves inputs
-    whose panel keys would not be exact."""
-    ranks, best = [], []
-    for start, sq in _distance_blocks(X, X, block):
-        np.fill_diagonal(sq[:, start:], np.inf)
-        r, b = _nearest_ranks(sq, label_rank)
-        ranks.append(r)
-        best.append(b)
-    return np.concatenate(ranks), np.concatenate(best)
+    """_nearest_ranks' result for Q against X (dim 1 or 2), searching only
+    exemplars near each query in x (Friedman, Baskett and Shustek 1975).
+
+    Per block of x-sorted queries, each row's nearest among the block's
+    x-neighbours bounds its nearest squared distance.  Per group of 16 rows
+    by that bound, b the largest, an exemplar whose x lies over sqrt(b)
+    (plus slack for rounding and underflow) outside the group's x range is
+    farther than b: the window holds every minimum and tie.  Non-finite
+    inputs raise ValueError, as the dense pass's NaNs do.
+    """
+    if not (np.isfinite(X).all() and np.isfinite(Q).all()):
+        raise ValueError("nearest-neighbour inputs must be finite")
+    order = np.argsort(X[:, 0], kind="stable")
+    X, label_rank, xs = X[order], label_rank[order], X[order, 0]
+    q_order = order if exclude_self else np.argsort(Q[:, 0], kind="stable")
+    Q = X if exclude_self else Q[q_order]
+    ranks, best = np.empty(len(Q), dtype=np.intp), np.empty(len(Q))
+
+    def nearest(rows: np.ndarray, a: int, z: int):
+        sq = _sq_distances(X[a:z], Q[rows])
+        if exclude_self:
+            sq[np.arange(len(rows)), rows - a] = np.inf
+        return _nearest_ranks(sq, label_rank[a:z])
+
+    for s in range(0, len(Q), _WINDOW_BLOCK):
+        block = np.arange(s, min(s + _WINDOW_BLOCK, len(Q)))
+        a = max(int(np.searchsorted(xs, Q[s, 0])) - _WINDOW_BLOCK, 0)
+        z = int(np.searchsorted(xs, Q[block[-1], 0], "right")) + _WINDOW_BLOCK
+        r, b = nearest(block, a, z)
+        for g in np.split(np.argsort(b), range(16, len(b), 16)):
+            lo, hi = float(Q[s + g.min(), 0]), float(Q[s + g.max(), 0])
+            reach = math.sqrt(b[g].max()) * (1 + 2**-30) + (abs(lo) + abs(hi) + 1e-120) * 2**-30
+            wa, wz = np.searchsorted(xs, lo - reach), np.searchsorted(xs, hi + reach, "right")
+            if wa < a or wz > z:
+                r[g], b[g] = nearest(block[g], wa, wz)
+        ranks[q_order[block]], best[q_order[block]] = r, b
+    return ranks, best
+
+
+def _nearest(X, label_rank, Q, exclude_self=False, block: int = _BLOCK):
+    """Per row of Q: _nearest_ranks' result against X, each item skipping
+    itself if ``exclude_self`` (Q is X).  Dim 1 or 2 takes _nearest_window;
+    other inputs one _distance_blocks pass over every pair."""
+    if 0 < X.shape[1] <= 2:
+        return _nearest_window(X, label_rank, Q, exclude_self)
+    ranks, best = np.empty(len(Q), dtype=np.intp), np.empty(len(Q))
+    for start, sq in _distance_blocks(X, Q, block):
+        if exclude_self:
+            np.fill_diagonal(sq[:, start:], np.inf)
+        rows = slice(start, start + len(sq))
+        ranks[rows], best[rows] = _nearest_ranks(sq, label_rank)
+    return ranks, best
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,32 +291,24 @@ def nn_classify(memory: ExemplarMemory, query) -> tuple[object, float]:
     """Class of the minimum-Euclidean-distance exemplar, and that distance.
 
     Exact distance ties between exemplars of different classes resolve in
-    canonical class order.
+    canonical class order.  One row of nn_decide_batch.
     """
-    q = memory._check_query(query)
-    sq = _sq_distances(memory.vectors, q[None, :])[0]
-    best = sq.min()
-    candidates = np.flatnonzero(sq == best)
-    rank = memory.label_rank[candidates].min()
-    return memory.class_set[rank], math.sqrt(best)
+    [decision], [distance] = nn_decide_batch(memory, memory._check_query(query)[None, :])
+    return decision, float(distance)
 
 
 def nn_decide_batch(memory: ExemplarMemory, queries) -> tuple[list, np.ndarray]:
-    """Vectorized nn_classify over rows of ``queries``.
+    """Vectorized nn_classify over rows of ``queries``: (decisions, distances).
 
-    Returns (decisions, distances); identical to calling nn_classify per
-    row, including tie handling.
+    Bit for bit nn_classify per row, ties included, at dim <= 2 and on
+    integer inputs.  On fractional inputs of higher dim, last bits and so
+    ties follow the GEMM's float64 rounding, which depends on batch shape.
     """
     Q = np.ascontiguousarray(np.asarray(queries, dtype=np.float64))
     if Q.ndim != 2 or Q.shape[1] != memory.dim:
         raise ValueError("queries must be a 2-D array matching memory dim")
-    decisions = []
-    distances = np.empty(len(Q), dtype=np.float64)
-    for start, sq in _distance_blocks(memory.vectors, Q):
-        ranks, best = _nearest_ranks(sq, memory.label_rank)
-        decisions.extend(memory.class_set[r] for r in ranks)
-        distances[start : start + len(best)] = np.sqrt(best.astype(np.float64))
-    return decisions, distances
+    ranks, best = _nearest(memory.vectors, memory.label_rank, Q)
+    return [memory.class_set[r] for r in ranks], np.sqrt(best)
 
 
 def nn_leave_one_out(nouns: list[EncodedNoun]) -> float:
@@ -278,7 +320,7 @@ def nn_leave_one_out(nouns: list[EncodedNoun]) -> float:
     if _panel_keys_exact(X, n_classes):
         ranks, _ = _leave_one_out_panels(X, memory.label_rank, n_classes)
     else:
-        ranks, _ = _leave_one_out_blocks(X, memory.label_rank)
+        ranks, _ = _nearest(X, memory.label_rank, X, True)
     return int(np.count_nonzero(ranks == memory.label_rank)) / len(memory)
 
 

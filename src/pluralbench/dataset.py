@@ -98,6 +98,8 @@ def ingest(path, table: FeatureTable) -> list[LexiconEntry]:
                     source_id=source_id,
                 )
             )
+    if not entries:
+        raise LexiconFormatError(f"{path}: no entries (the lexicon is empty or only comments)")
     return entries
 
 

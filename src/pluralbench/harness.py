@@ -330,6 +330,8 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def _resolve_default_class(entries, name: str):
+    if not entries:
+        raise ConfigError("the type-frequency filter left no entries (lower --min-fraction)")
     present = {}
     for e in entries:
         present.setdefault(str(e.derived_class), e.derived_class)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import ExemplarMemory, nn_decide_batch, _distance_blocks
+from .classifiers import ExemplarMemory, nn_decide_batch, _nearest
 from .hybrid import HybridConfig, SweepCurve, threshold_sweep
 from .dataset import EncodedNoun
 
@@ -173,14 +173,8 @@ def compare_simple_vs_hybrid(
 
 
 def _nearest_sq(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Per row of Q: squared distance to its nearest row of X, or, when
-    ``Q is X``, to its nearest other row; one blocked pass, bounded memory."""
-    best = np.empty(len(Q))
-    for start, sq in _distance_blocks(X, Q):
-        if Q is X:
-            np.fill_diagonal(sq[:, start:], np.inf)
-        best[start : start + len(sq)] = sq.min(axis=1)
-    return best
+    """Per row of Q: squared distance to its nearest row of X (other row if ``Q is X``)."""
+    return _nearest(X, np.zeros(len(X), dtype=np.intp), Q, Q is X)[1]
 
 
 def regular_taxonomy(

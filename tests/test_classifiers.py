@@ -21,10 +21,11 @@ from pluralbench.classifiers import (
     _gcm_prob_matrix,
     _histogram_block_probs,
     _integer_peak,
-    _leave_one_out_blocks,
     _leave_one_out_panels,
     _mlp_train_checkpoints,
+    _nearest,
     _nearest_ranks,
+    _nearest_window,
     _panel_keys_exact,
     _sq_distances,
     evaluate,
@@ -42,6 +43,7 @@ from pluralbench.classifiers import (
     nn_leave_one_out,
 )
 from pluralbench.dataset import EncodedNoun
+from pluralbench.synthetic import generate_language, language_2
 
 
 def _nouns(X, labels):
@@ -228,7 +230,7 @@ def _assert_leave_one_out_kernels(memory, block, oracle):
     assert _panel_keys_exact(X, n_classes, block)
     for kernel_ranks, kernel_best in (
         _leave_one_out_panels(X, label_rank, n_classes, block),
-        _leave_one_out_blocks(X, label_rank, block),
+        _nearest(X, label_rank, X, True, block),
     ):
         assert np.array_equal(kernel_ranks, ranks) and np.array_equal(kernel_best, best)
 
@@ -551,10 +553,10 @@ def test_leave_one_out_panel_key_bound(monkeypatch, peak, panels):
             return kernel(*args)
         return run
 
-    for kernel in (_leave_one_out_panels, _leave_one_out_blocks):
+    for kernel in (_leave_one_out_panels, _nearest):
         monkeypatch.setattr(classifiers, kernel.__name__, spy(kernel))
     assert nn_leave_one_out(_nouns(X, labels)) == 0.0  # a and b are each other's neighbour
-    assert taken == ["_leave_one_out_panels" if panels else "_leave_one_out_blocks"]
+    assert taken == ["_leave_one_out_panels" if panels else "_nearest"]
     ranks, best = _float64_leave_one_out(memory)
     assert ranks.tolist() == [1, 0] and best.tolist() == [(2 * peak) ** 2] * 2
     if panels:
@@ -685,6 +687,158 @@ def test_integer_path_nn_property(data):
         _integer_nn_oracle(X, labels, X[i], skip=i)[0] == labels[i] for i in range(len(X))
     )
     assert nn_leave_one_out(_nouns(X, labels)) == correct / len(X)
+
+
+# --------------------------------------------------------------------------
+# Windowed nearest search on 1- and 2-D points
+# --------------------------------------------------------------------------
+
+
+def _dense_difference_nearest(X, label_rank, Q, exclude_self=False):
+    """The window's oracle: every pair as sum_k (q_k - x_k)^2, then the
+    per-row rule over whole rows."""
+    sq = sum((Q[:, None, k] - X[None, :, k]) ** 2 for k in range(X.shape[1]))
+    if exclude_self:
+        np.fill_diagonal(sq, np.inf)
+    return _per_row_nearest_ranks(sq, label_rank)
+
+
+def _assert_window_matches_dense(X, label_rank, Q):
+    """The window equals the dense oracle bit for bit, against Q and, with
+    self-exclusion, against X itself."""
+    for exclude_self, queries in ((False, Q), (True, X)):
+        ranks, best = _nearest_window(X, label_rank, queries, exclude_self)
+        want_ranks, want_best = _dense_difference_nearest(X, label_rank, queries, exclude_self)
+        assert np.array_equal(ranks, want_ranks) and best.tobytes() == want_best.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 200])
+def test_window_matches_dense_around_block_edges(n):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 2)) * 3.0
+    Q = rng.uniform(-8.0, 8.0, size=(n, 2))
+    _assert_window_matches_dense(X, rng.integers(0, 3, n), Q)
+    _assert_window_matches_dense(X[:, :1], rng.integers(0, 3, n), Q[:, :1])
+
+
+def test_window_duplicates_and_self_exclusion():
+    # 300 points in tenths on a 5 x 5 grid: every point has duplicates,
+    # mostly under other classes, so nearly every row ties at distance 0
+    rng = np.random.default_rng(46)
+    X = rng.integers(0, 5, size=(300, 2)) / 10.0
+    label_rank = rng.integers(0, 3, 300)
+    Q = np.concatenate([X[::7], rng.integers(0, 5, size=(90, 2)) / 10.0 + 0.05])
+    _assert_window_matches_dense(X, label_rank, Q)
+    _, best = _nearest_window(X, label_rank, X, True)
+    assert not best.any()  # self skipped, its duplicates kept
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_window_keeps_a_tie_at_its_edge(side):
+    # the query's nearest are "b" at (0, 1) and "a" at (side, 0), both at
+    # squared distance exactly 1.  The 100 fillers lie between the two in x,
+    # far away in y, so the bound pass sees only "b"; "a" wins the tie only
+    # if the window reaches exactly sqrt(1) past the query's x
+    fillers = np.stack([side * np.linspace(0.01, 0.99, 100), np.full(100, 100.0)], axis=1)
+    X = np.concatenate([fillers, [[side, 0.0], [0.0, 1.0]]])
+    labels = ["a"] * 101 + ["b"]
+    memory = ExemplarMemory.from_pairs(X, labels)
+    Q = np.zeros((1, 2))
+    assert nn_decide_batch(memory, Q) == (["a"], [1.0])
+    _assert_window_matches_dense(X, memory.label_rank, Q)
+
+
+@pytest.mark.parametrize("layout", ["clustered", "uniform", "vertical line"])
+def test_window_matches_dense_on_layouts(layout):
+    rng = np.random.default_rng(47)
+    if layout == "clustered":
+        centres = rng.uniform(0.0, 10.0, size=(5, 2))
+        X = centres[rng.integers(0, 5, 400)] + rng.normal(scale=0.2, size=(400, 2))
+    elif layout == "uniform":
+        X = rng.uniform(0.0, 10.0, size=(400, 2))
+    else:  # one x for every point: the window is everything
+        X = np.stack([np.full(400, 3.0), rng.uniform(0.0, 10.0, 400)], axis=1)
+    Q = np.concatenate([X[:100] + rng.normal(scale=0.05, size=(100, 2)),
+                        rng.uniform(-1.0, 11.0, size=(100, 2))])
+    _assert_window_matches_dense(X, rng.integers(0, 4, 400), Q)
+
+
+_window_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1.0, -1.0]),
+    st.floats(-100.0, 100.0),
+    st.floats(-1e-150, 1e-150),  # squares underflow to 0
+    st.floats(-1e200, 1e200),  # squares overflow to inf
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_window_matches_dense_property(data):
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    n, m = data.draw(st.integers(1, 150), label="n"), data.draw(st.integers(1, 150), label="m")
+    X = data.draw(hnp.arrays(np.float64, (n, dim), elements=_window_coords), label="X")
+    Q = data.draw(hnp.arrays(np.float64, (m, dim), elements=_window_coords), label="Q")
+    label_rank = data.draw(hnp.arrays(np.intp, n, elements=st.integers(0, 3)), label="ranks")
+    _assert_window_matches_dense(X, label_rank, Q)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_window_rejects_non_finite_coordinates(value):
+    rng = np.random.default_rng(48)
+    X = rng.normal(size=(50, 2))
+    memory = ExemplarMemory.from_pairs(X, [["a", "b"][i % 2] for i in range(50)])
+    Q = rng.normal(size=(5, 2))
+    Q[3, 1] = value
+    with pytest.raises(ValueError):
+        nn_decide_batch(memory, Q)
+    X[7, 0] = value
+    with pytest.raises(ValueError):
+        nn_decide_batch(ExemplarMemory.from_pairs(X, memory.labels), Q[:3])
+
+
+@functools.cache
+def _lone_row_case(points):
+    """A 2-D memory and 257 queries: language 2 points, or points in tenths."""
+    if points == "language_2":
+        coords = generate_language(language_2(seed=5, points_per_class=200)).coords
+    else:
+        coords = np.random.default_rng(49).integers(0, 100, size=(1000, 2)) / 10.0
+    order = np.random.default_rng(50).permutation(len(coords))
+    labels = [["a", "b", "c"][i % 3] for i in range(500)]
+    return ExemplarMemory.from_pairs(coords[order[:500]], labels), coords[order[500:757]]
+
+
+@pytest.mark.parametrize("n_queries", [1, 63, 64, 65, 257])
+@pytest.mark.parametrize("points", ["language_2", "tenths"])
+def test_nn_lone_rows_equal_batch_on_2d_points(points, n_queries):
+    memory, Q = _lone_row_case(points)
+    Q = Q[:n_queries]
+    decisions, distances = nn_decide_batch(memory, Q)
+    for i in range(len(Q)):
+        lone_decisions, lone_distances = nn_decide_batch(memory, Q[i : i + 1])
+        assert lone_decisions == decisions[i : i + 1]
+        assert lone_distances.tobytes() == distances[i : i + 1].tobytes()
+
+
+def test_nn_classify_agrees_with_batch_on_2d_ties():
+    # exemplars 250.. copy 0..49 exactly under another class; queries sit
+    # near the copied pairs, so many rows tie across classes
+    rng = np.random.default_rng(51)
+    X = rng.uniform(0.0, 10.0, size=(300, 2))
+    X[250:] = X[:50]
+    labels = [["a", "b", "c"][int(i)] for i in rng.choice(3, 300, p=[0.5, 0.3, 0.2])]
+    labels[250:] = ["c" if label != "c" else "a" for label in labels[:50]]
+    memory = ExemplarMemory.from_pairs(X, labels)
+    Q = np.concatenate([X[:50] + rng.normal(scale=1e-3, size=(50, 2)),
+                        rng.uniform(0.0, 10.0, size=(80, 2))])
+    decisions, distances = nn_decide_batch(memory, Q)
+    ties = 0
+    for q, d, dist in zip(Q, decisions, distances):
+        assert nn_classify(memory, q) == (d, dist)
+        sq = ((X - q) ** 2).sum(axis=1)
+        ties += len({labels[j] for j in np.flatnonzero(sq == sq.min())}) > 1
+    assert ties > 30  # the case exercises the tie rule
 
 
 # --------------------------------------------------------------------------

@@ -197,6 +197,27 @@ def test_exit_code_2_data_errors(tmp_path, capsys):
                  "--output-dir", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("command", ["ingest", "encode", "report"])
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_exit_code_2_empty_lexicon(tmp_path, capsys, command, text):
+    lexicon = tmp_path / "empty.tsv"
+    lexicon.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(lexicon), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(lexicon) in err and "no entries" in err and "internal error" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_exit_code_1_filter_leaves_no_entries(tmp_path, capsys):
+    # no toy class reaches half of the lexicon
+    out = tmp_path / "out"
+    assert main(["report", TOY, "--min-fraction", "0.5", "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "type-frequency filter left no entries" in err and "--min-fraction" in err
+    assert not (out / "report.json").exists()
+
+
 @pytest.fixture(scope="module")
 def toy_models(tmp_path_factory):
     """Toy nn and gcm models trained without the default class."""
