@@ -352,7 +352,7 @@ class GcmParams:
             raise ValueError("kernel exponent p must be 1 or 2")
         if self.biases is not None:
             values = np.array(list(self.biases.values()), dtype=np.float64)
-            if np.any(values < 0) or np.any(values > 1):
+            if not np.all((values >= 0) & (values <= 1)):  # NaN fails too
                 raise ValueError("biases must lie in [0, 1]")
             if abs(values.sum() - 1.0) > 1e-9:
                 raise ValueError("biases must sum to 1")

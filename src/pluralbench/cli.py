@@ -30,15 +30,7 @@ from .classifiers import (
     mlp_train,
     nn_decide_batch,
 )
-from .dataset import (
-    apply_exclusions,
-    encode_entries,
-    filter_by_type_frequency,
-    ingest,
-    load_exclusion_list,
-    remove_compounds,
-    split,
-)
+from .dataset import encode_entries, split
 from .errors import (
     ConfigError,
     ExperimentError,
@@ -51,6 +43,7 @@ from .errors import (
 from .harness import (
     ExperimentConfig,
     _csv_bytes,
+    _lexicon_stages,
     _resolve_default_class,
     emit_frequency_table,
     expand_grid,
@@ -105,22 +98,6 @@ def _load_table(config: ExperimentConfig):
     return load_feature_table(config.feature_table)
 
 
-def _pipeline(config: ExperimentConfig, table):
-    """ingest -> exclusions -> frequency filter -> compounds; returns stages."""
-    require_file(config.lexicon, "lexicon")
-    entries = ingest(config.lexicon, table)
-    n_ingested = len(entries)
-    if config.exclusions is not None:
-        require_file(config.exclusions, "exclusion list")
-        entries = apply_exclusions(entries, load_exclusion_list(config.exclusions))
-    kept, discarded = filter_by_type_frequency(entries, config.filter_min_fraction)
-    if config.compound_matching == "off":
-        non_compound = kept
-    else:
-        non_compound = remove_compounds(kept, config.compound_matching)
-    return n_ingested, len(entries), kept, discarded, non_compound
-
-
 def _split(config: ExperimentConfig, table, non_compound):
     default_class = _resolve_default_class(non_compound, config.default_class)
     return split(
@@ -142,7 +119,7 @@ def _split(config: ExperimentConfig, table, non_compound):
 def _cmd_ingest(args) -> int:
     config = _merged_config(args)
     table = _load_table(config)
-    n_ingested, n_after_exclusions, kept, discarded, non_compound = _pipeline(config, table)
+    n_ingested, n_after_exclusions, kept, discarded, non_compound = _lexicon_stages(config, table)
     outdir = _outdir(config)
     rows = emit_frequency_table(kept)
     (outdir / "frequency_table.csv").write_bytes(
@@ -167,10 +144,10 @@ def _cmd_ingest(args) -> int:
 def _cmd_encode(args) -> int:
     config = _merged_config(args)
     table = _load_table(config)
-    *_, non_compound = _pipeline(config, table)
+    *_, non_compound = _lexicon_stages(config, table)
     encoded = encode_entries(non_compound, table, slots=config.slots)
     outdir = _outdir(config)
-    dim = len(encoded[0].vector) if encoded else 0
+    dim = len(encoded[0].vector)
     header = ["source_id", "class"] + [f"f{i}" for i in range(dim)]
     rows = (
         [n.source_id, str(n.label)] + [format(v, "g") for v in n.vector]
@@ -188,7 +165,7 @@ def _cmd_train(args) -> int:
     if not out_path.parent.is_dir():
         raise ConfigError(f"--model-out directory does not exist: {out_path.parent}")
     table = _load_table(config)
-    *_, non_compound = _pipeline(config, table)
+    *_, non_compound = _lexicon_stages(config, table)
     data = _split(config, table, non_compound)
     train_set = data.train_no_default if args.no_default else data.train
     metadata = {
@@ -231,7 +208,7 @@ def _cmd_evaluate(args) -> int:
             f"model {args.model} takes {model_width} features but the lexicon encodes to "
             f"{width} ({config.slots} slots x {table.feature_count} features)"
         )
-    *_, non_compound = _pipeline(config, table)
+    *_, non_compound = _lexicon_stages(config, table)
     data = _split(config, table, non_compound)
     eval_set = data.test
     vectors = [n.vector for n in eval_set]

@@ -329,9 +329,36 @@ def _stage(name, fn, *args, **kwargs):
         raise ExperimentError(name, exc) from exc
 
 
-def _resolve_default_class(entries, name: str):
-    if not entries:
+def _lexicon_stages(config: ExperimentConfig, table):
+    """ingest -> exclusions -> frequency filter -> compounds, shared by
+    run_experiment and the CLI.  Returns (ingested count, count after
+    exclusions, kept, discarded, non-compound entries); refuses an
+    exclusion list or a frequency floor that leaves no entries."""
+    require_file(config.lexicon, "lexicon")
+    if config.exclusions is not None:
+        require_file(config.exclusions, "exclusion list")
+    entries = _stage("ingest", ingest, config.lexicon, table)
+    n_ingested = len(entries)
+    if config.exclusions is not None:
+        exclusions = _stage("load-exclusions", load_exclusion_list, config.exclusions)
+        entries = apply_exclusions(entries, exclusions)
+        if not entries:
+            raise ConfigError("the exclusion list removed every entry")
+    kept, discarded = _stage(
+        "frequency-filter", filter_by_type_frequency, entries, config.filter_min_fraction
+    )
+    if not kept:
         raise ConfigError("the type-frequency filter left no entries (lower --min-fraction)")
+    if config.compound_matching == "off":
+        non_compound = kept
+    else:
+        non_compound = _stage(
+            "remove-compounds", remove_compounds, kept, config.compound_matching
+        )
+    return n_ingested, len(entries), kept, discarded, non_compound
+
+
+def _resolve_default_class(entries, name: str):
     present = {}
     for e in entries:
         present.setdefault(str(e.derived_class), e.derived_class)
@@ -499,41 +526,17 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> Report:
     never references the output location, so identical configs and inputs
     give byte-identical reports wherever they are written.
     """
-    require_file(config.lexicon, "lexicon")
-    if config.feature_table is not None:
-        require_file(config.feature_table, "feature table")
-    if config.exclusions is not None:
-        require_file(config.exclusions, "exclusion list")
-
-    outdir = Path(output_dir if output_dir is not None else config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     if config.feature_table is None:
         table = _stage("load-feature-table", default_feature_table)
     else:
+        require_file(config.feature_table, "feature table")
         table = _stage("load-feature-table", load_feature_table, config.feature_table)
 
-    entries = _stage("ingest", ingest, config.lexicon, table)
-    n_ingested = len(entries)
-    n_excluded = 0
-    if config.exclusions is not None:
-        exclusions = _stage("load-exclusions", load_exclusion_list, config.exclusions)
-        entries = apply_exclusions(entries, exclusions)
-        n_excluded = n_ingested - len(entries)
-
-    kept, discarded = _stage(
-        "frequency-filter", filter_by_type_frequency, entries, config.filter_min_fraction
+    n_ingested, n_after_exclusions, kept, discarded, non_compound = _lexicon_stages(
+        config, table
     )
     discarded_classes = sorted({str(e.derived_class) for e in discarded})
     frequency_rows = emit_frequency_table(kept)
-
-    if config.compound_matching == "off":
-        non_compound = kept
-    else:
-        non_compound = _stage(
-            "remove-compounds", remove_compounds, kept, config.compound_matching
-        )
-
     default_class = _resolve_default_class(non_compound, config.default_class)
     data = _stage(
         "split",
@@ -546,6 +549,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> Report:
         stratify=config.stratify,
         default_class=default_class,
     )
+    outdir = Path(output_dir if output_dir is not None else config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     loo = None
     if "nn" in config.classifiers and config.nn.get("leave_one_out"):
@@ -577,7 +582,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> Report:
         },
         "dataset": {
             "ingested": n_ingested,
-            "excluded": n_excluded,
+            "excluded": n_ingested - n_after_exclusions,
             "after_frequency_filter": len(kept),
             "discarded_classes": discarded_classes,
             "non_compound": len(non_compound),

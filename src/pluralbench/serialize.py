@@ -1,21 +1,29 @@
-"""Versioned, binary-free model persistence.
+"""Versioned model persistence: a JSON envelope with packed float arrays.
 
 All three classifier families save to the same JSON envelope::
 
-    {"format": "pluralbench-model", "version": 1, "kind": "nn"|"gcm"|"mlp", ...}
+    {"format": "pluralbench-model", "version": 2, "kind": "nn"|"gcm"|"mlp", ...}
 
 Exemplar models store their memory (vectors plus per-exemplar class
 indices); the network stores both weight matrices and biases.  Class
 labels are stored structurally (kind and phoneme lists for plural
 classes, tagged scalars otherwise) so reloading never depends on parsing
-display names.  Floats round-trip exactly through JSON's shortest-repr
-encoding, so a saved model reproduces its decisions bit for bit.
+display names.  Every float array is packed as ``{"dtype": "<f8",
+"shape": [...], "data": ...}``, ``data`` being base64 of the
+zlib-compressed little-endian float64 bytes, so a saved model reproduces
+its decisions bit for bit.  Version 1 files, which held the same arrays
+as JSON lists, still load.  In both versions the loader checks every
+label index, array shape and value against the header.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
+import zlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +33,8 @@ from .errors import ModelFormatError
 from .phonology import PluralClass, _read_utf8
 
 FORMAT_NAME = "pluralbench-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_DTYPE = "<f8"
 
 
 def _tag_label(label):
@@ -64,29 +73,58 @@ def _untag_label(tagged):
     raise ModelFormatError(f"unknown class label type {kind!r}")
 
 
+def _pack(array) -> dict:
+    a = np.ascontiguousarray(array, dtype=_DTYPE)
+    data = base64.b64encode(zlib.compress(a.tobytes())).decode("ascii")
+    return {"dtype": _DTYPE, "shape": list(a.shape), "data": data}
+
+
+def _unpack(packed, shape) -> np.ndarray:
+    """Decode a packed array, inflating at most the header's ``shape`` worth."""
+    if not isinstance(packed, dict) or packed.get("dtype") != _DTYPE:
+        raise ValueError(f"dtype must be {_DTYPE!r}")
+    if packed.get("shape") != list(shape):
+        raise ValueError(f"packed shape {packed.get('shape')} is not the header's {list(shape)}")
+    size = 8 * math.prod(shape)
+    inflater = zlib.decompressobj()
+    data = inflater.decompress(base64.b64decode(packed["data"], validate=True), max(size, 1))
+    if len(data) != size or not inflater.eof or inflater.unused_data:
+        raise ValueError(f"data is not one complete zlib stream of {size} bytes")
+    return np.frombuffer(data, dtype=_DTYPE).reshape(shape).astype(np.float64)
+
+
+def _array(version: int, raw, shape: tuple, name: str) -> np.ndarray:
+    """Field ``name``, a JSON list (version 1) or a packed array (version 2),
+    as a finite float64 array of the header's ``shape``."""
+    try:
+        a = np.asarray(raw, dtype=np.float64) if version == 1 else _unpack(raw, shape)
+    except (TypeError, ValueError, zlib.error) as exc:
+        raise ModelFormatError(f"field {name!r} is malformed: {exc}") from None
+    if a.shape != shape:
+        raise ModelFormatError(f"field {name!r} has shape {a.shape}, the header gives {shape}")
+    if not np.isfinite(a).all():
+        raise ModelFormatError(f"field {name!r} holds a non-finite value")
+    return a
+
+
 def _memory_payload(memory: ExemplarMemory) -> dict:
-    classes = list(memory.class_set)
-    index = {c: i for i, c in enumerate(classes)}
     return {
         "dim": memory.dim,
-        "classes": [_tag_label(c) for c in classes],
-        "labels": [index[lab] for lab in memory.labels],
-        "vectors": [[float(v) for v in row] for row in memory.vectors],
+        "classes": [_tag_label(c) for c in memory.class_set],
+        "labels": memory.label_rank.tolist(),
+        "vectors": _pack(memory.vectors),
     }
 
 
-def _memory_from_payload(payload: dict) -> ExemplarMemory:
+def _memory_from_payload(payload: dict, array) -> ExemplarMemory:
     classes = [_untag_label(t) for t in payload["classes"]]
-    try:
-        labels = [classes[i] for i in payload["labels"]]
-    except IndexError:
-        raise ModelFormatError("exemplar label index out of range")
-    vectors = [np.asarray(row, dtype=float) for row in payload["vectors"]]
-    if len(vectors) != len(labels):
-        raise ModelFormatError(
-            f"{len(vectors)} vectors but {len(labels)} labels in model file"
-        )
-    return ExemplarMemory.from_pairs(vectors, labels)
+    indices = payload["labels"]
+    if not isinstance(indices, list) or not all(
+        type(i) is int and 0 <= i < len(classes) for i in indices
+    ):
+        raise ModelFormatError(f"field 'labels' must hold indices into the {len(classes)} classes")
+    vectors = array(payload["vectors"], (len(indices), payload["dim"]), "vectors")
+    return ExemplarMemory.from_pairs(vectors, [classes[i] for i in indices])
 
 
 @dataclass(frozen=True)
@@ -125,11 +163,7 @@ def save_gcm(memory: ExemplarMemory, params: GcmParams, path, metadata=None) -> 
         "s": float(params.s),
         "p": int(params.p),
         "biases": biases,
-        "likelihoods": (
-            None
-            if params.likelihoods is None
-            else [float(w) for w in params.likelihoods]
-        ),
+        "likelihoods": None if params.likelihoods is None else _pack(params.likelihoods),
     }
     _dump(doc, path)
 
@@ -144,10 +178,10 @@ def save_mlp(model: MlpModel, path, metadata=None) -> None:
             "dim": model.input_dim,
             "hidden": model.hidden_count,
             "classes": [_tag_label(c) for c in model.class_set],
-            "w_hidden": [[float(v) for v in row] for row in model.w_hidden],
-            "b_hidden": [float(v) for v in model.b_hidden],
-            "w_output": [[float(v) for v in row] for row in model.w_output],
-            "b_output": [float(v) for v in model.b_output],
+            "w_hidden": _pack(model.w_hidden),
+            "b_hidden": _pack(model.b_hidden),
+            "w_output": _pack(model.w_output),
+            "b_output": _pack(model.b_output),
         }
     )
     _dump(doc, path)
@@ -169,47 +203,46 @@ def load_model(path) -> SavedModel:
         raise ModelFormatError(f"model file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path} is not a {FORMAT_NAME} file")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format version {doc.get('version')!r}"
-        )
+    version = doc.get("version")
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
+        raise ModelFormatError(f"unsupported model format version {version!r}")
     kind = doc.get("kind")
+    if kind not in ("nn", "gcm", "mlp"):
+        raise ModelFormatError(f"unknown model kind {kind!r} in {path}")
     metadata = doc.get("metadata") or {}
+    array = partial(_array, version)
     try:
-        if kind == "nn":
-            return SavedModel("nn", _memory_from_payload(doc), None, metadata)
-        if kind == "gcm":
-            raw = doc["params"]
-            raw_biases = raw.get("biases")
-            if raw_biases is None:
-                biases = None
-            else:
-                biases = {_untag_label(tag): float(b) for tag, b in raw_biases}
-            likelihoods = raw.get("likelihoods")
-            params = GcmParams(
-                s=raw["s"],
-                p=raw["p"],
-                biases=biases,
-                likelihoods=None if likelihoods is None else np.asarray(likelihoods),
-            )
-            return SavedModel("gcm", _memory_from_payload(doc), params, metadata)
         if kind == "mlp":
             classes = [_untag_label(t) for t in doc["classes"]]
+            if not classes:
+                raise ModelFormatError("field 'classes' of an mlp model is empty")
+            hidden, k = doc["hidden"], len(classes)
             model = MlpModel(
-                w_hidden=np.asarray(doc["w_hidden"], dtype=float),
-                b_hidden=np.asarray(doc["b_hidden"], dtype=float),
-                w_output=np.asarray(doc["w_output"], dtype=float),
-                b_output=np.asarray(doc["b_output"], dtype=float),
+                w_hidden=array(doc["w_hidden"], (hidden, doc["dim"]), "w_hidden"),
+                b_hidden=array(doc["b_hidden"], (hidden,), "b_hidden"),
+                w_output=array(doc["w_output"], (k, hidden), "w_output"),
+                b_output=array(doc["b_output"], (k,), "b_output"),
                 class_set=classes,
                 metadata=metadata,
             )
-            if model.w_hidden.shape != (doc["hidden"], doc["dim"]):
-                raise ModelFormatError("hidden weight shape disagrees with header")
-            if model.w_output.shape != (len(classes), doc["hidden"]):
-                raise ModelFormatError("output weight shape disagrees with class set")
             return SavedModel("mlp", model, None, metadata)
+        memory = _memory_from_payload(doc, array)
+        params = None
+        if kind == "gcm":
+            raw = doc["params"]
+            raw_biases, likelihoods = raw.get("biases"), raw.get("likelihoods")
+            params = GcmParams(
+                s=raw["s"],
+                p=raw["p"],
+                biases=None if raw_biases is None else {
+                    _untag_label(tag): float(b) for tag, b in raw_biases
+                },
+                likelihoods=None if likelihoods is None else array(
+                    likelihoods, (len(memory),), "likelihoods"
+                ),
+            )
+        return SavedModel(kind, memory, params, metadata)
     except KeyError as exc:
         raise ModelFormatError(f"model file {path} is missing field {exc}")
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"model file {path} is malformed: {exc}")
-    raise ModelFormatError(f"unknown model kind {kind!r} in {path}")

@@ -397,6 +397,8 @@ def test_gcm_params_validation():
         GcmParams(s=1.0, biases={"a": 0.7, "b": 0.7})
     with pytest.raises(ValueError):
         GcmParams(s=1.0, biases={"a": 1.5, "b": -0.5})
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        GcmParams(s=1.0, biases={"a": float("nan"), "b": 1.0})
     with pytest.raises(ValueError):
         gcm_classify(
             ExemplarMemory.from_pairs([[0.0, 0.0]], ["a"]),

@@ -1,8 +1,11 @@
 """End-to-end command-line behaviour and exit-code mapping."""
 
+import base64
 import json
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pluralbench.cli import OUTPUT_DIR_ENV, main
@@ -220,10 +223,11 @@ def test_exit_code_1_filter_leaves_no_entries(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def toy_models(tmp_path_factory):
-    """Toy nn and gcm models trained without the default class."""
+    """Toy nn, gcm and mlp models trained without the default class."""
     root = tmp_path_factory.mktemp("models")
     models = {}
-    for kind, extra in (("nn", []), ("gcm", ["--scale", "1.5"])):
+    mlp_flags = ["--hidden", "4", "--epochs", "1"]
+    for kind, extra in (("nn", []), ("gcm", ["--scale", "1.5"]), ("mlp", mlp_flags)):
         models[kind] = str(root / f"{kind}.json")
         argv = ["train", TOY, "--model-out", models[kind], "--classifier", kind, "--no-default"]
         assert main(argv + extra) == 0
@@ -357,6 +361,102 @@ def test_exit_code_1_directory_as_input_file(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "not a file" in err and "internal error" not in err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "report"])
+def test_exit_code_1_exclusions_remove_every_entry(tmp_path, capsys, command):
+    orthographies = [
+        line.split("\t")[0]
+        for line in Path(TOY).read_text(encoding="utf-8").splitlines()
+        if line and not line.startswith("#")
+    ]
+    exclusions = tmp_path / "exclusions.txt"
+    exclusions.write_text("\n".join(orthographies) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, TOY, "--exclusions", str(exclusions), "--output-dir", str(out)]
+    if command == "report":
+        argv += ["--config", _write_config(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "the exclusion list removed every entry" in err and "internal error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "encode"])
+def test_exit_code_1_filter_leaves_nothing_to_ingest_or_encode(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, TOY, "--min-fraction", "0.5", "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "type-frequency filter left no entries" in err and "--min-fraction" in err
+    assert not out.exists()
+
+
+def test_train_writes_byte_identical_compact_model_files(tmp_path):
+    for kind, extra in (
+        ("nn", []),
+        ("gcm", ["--scale", "1.5"]),
+        ("mlp", ["--hidden", "6", "--epochs", "2"]),
+    ):
+        files = [tmp_path / f"{kind}{run}.json" for run in (1, 2)]
+        for path in files:
+            argv = ["train", TOY, "--classifier", kind, "--model-out", str(path), *extra]
+            assert main(argv) == 0
+        assert files[0].read_bytes() == files[1].read_bytes()
+        doc = json.loads(files[0].read_text(encoding="utf-8"))
+        assert doc["version"] == 2
+        packed = doc["vectors"] if kind != "mlp" else doc["w_hidden"]
+        assert packed["dtype"] == "<f8" and set(packed) == {"data", "dtype", "shape"}
+        if kind != "mlp":
+            # version 1 wrote about 280 KB of float lists for the toy memory
+            assert files[0].stat().st_size < 16 * 1024
+
+
+def _packed(array):
+    array = np.ascontiguousarray(array, dtype="<f8")
+    data = base64.b64encode(zlib.compress(array.tobytes())).decode("ascii")
+    return {"dtype": "<f8", "shape": list(array.shape), "data": data}
+
+
+def _unpacked(packed):
+    raw = zlib.decompress(base64.b64decode(packed["data"]))
+    return np.frombuffer(raw, dtype="<f8").reshape(packed["shape"]).copy()
+
+
+def _nan_last(packed):
+    array = _unpacked(packed)
+    array.flat[-1] = np.nan
+    return _packed(array)
+
+
+@pytest.mark.parametrize(
+    "kind, edit, field",
+    [
+        ("nn", lambda doc: dict(doc, dim=7), "vectors"),
+        ("nn", lambda doc: dict(doc, vectors=_nan_last(doc["vectors"])), "vectors"),
+        ("gcm", lambda doc: dict(doc, labels=[-1] + doc["labels"][1:]), "labels"),
+        ("gcm", lambda doc: dict(doc, labels=[True] + doc["labels"][1:]), "labels"),
+        ("mlp", lambda doc: dict(doc, b_hidden=_packed(_unpacked(doc["b_hidden"])[:-1])),
+         "b_hidden"),
+        ("mlp", lambda doc: dict(doc, b_output=_packed(_unpacked(doc["b_output"])[:-1])),
+         "b_output"),
+        ("mlp", lambda doc: dict(doc, w_output=_nan_last(doc["w_output"])), "w_output"),
+    ],
+    ids=["dim", "nan-vector", "label-negative", "label-bool", "b_hidden-short",
+         "b_output-short", "nan-weight"],
+)
+def test_exit_code_2_model_header_or_values_wrong(tmp_path, capsys, toy_models, kind, edit,
+                                                  field):
+    doc = json.loads(Path(toy_models[kind]).read_text(encoding="utf-8"))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(edit(doc)), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["evaluate", str(model), "--lexicon", TOY, "--output-dir", str(out)]
+    if kind != "mlp":
+        argv += ["--hybrid-t", "0.5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert field in err and "internal error" not in err
+    assert not out.exists()
 
 
 def test_exit_code_3_internal_errors(tmp_path, capsys, monkeypatch):
