@@ -81,7 +81,8 @@ def _exact_in_float32(X: np.ndarray, Q: np.ndarray, block: int = _BLOCK) -> bool
     if None in peaks:
         return False
     bound = 2 * peaks[0] if Q is X else sum(peaks)
-    return X.shape[1] * bound**2 < 2**24
+    # dim >= 1 needs bound < 2**12; testing that first keeps bound**2 finite
+    return bound < 2**12 and X.shape[1] * bound**2 < 2**24
 
 
 def _distance_blocks(X: np.ndarray, Q: np.ndarray, block: int = _BLOCK):
@@ -124,7 +125,11 @@ def _panel_keys_exact(X: np.ndarray, n_classes: int, block: int = _BLOCK) -> boo
     second class rank, is then an integer below 2**24, exact in float32.
     """
     peak = _integer_peak(X, block)
-    return peak is not None and n_classes * (X.shape[1] * (2 * peak) ** 2 + 2) < 2**24
+    return (
+        peak is not None
+        and peak < 2**11  # what dim >= 1 needs; keeps the square finite
+        and n_classes * (X.shape[1] * (2 * peak) ** 2 + 2) < 2**24
+    )
 
 
 def _leave_one_out_panels(
@@ -152,7 +157,7 @@ def _leave_one_out_panels(
     for s in range(0, n, block):
         e = min(s + block, n)
         rows = np.empty((e - s, dim + 2), dtype=np.float32)
-        rows[:, :dim] = X[s:e] * (-2.0 * C)
+        np.multiply(X[s:e], -2.0 * C, out=rows[:, :dim], casting="unsafe")  # no float64 temporary
         rows[:, dim] = C * x2[s:e]
         rows[:, dim + 1] = 1.0
         panel = np.dot(rows, items[s:].T, out=buf[: (e - s) * (n - s)].reshape(e - s, n - s))
@@ -311,11 +316,10 @@ def nn_decide_batch(memory: ExemplarMemory, queries) -> tuple[list, np.ndarray]:
     return [memory.class_set[r] for r in ranks], np.sqrt(best)
 
 
-def nn_leave_one_out(nouns: list[EncodedNoun]) -> float:
-    """Accuracy when each item is classified by its nearest other item."""
-    if len(nouns) < 2:
+def nn_leave_one_out(memory: ExemplarMemory) -> float:
+    """Accuracy when each exemplar is classified by its nearest other exemplar."""
+    if len(memory) < 2:
         raise ValueError("leave-one-out requires at least 2 entries")
-    memory = ExemplarMemory.from_encoded(nouns)
     X, n_classes = memory.vectors, len(memory.class_set)
     if _panel_keys_exact(X, n_classes):
         ranks, _ = _leave_one_out_panels(X, memory.label_rank, n_classes)

@@ -30,7 +30,7 @@ from .classifiers import (
     mlp_train,
     nn_decide_batch,
 )
-from .dataset import encode_entries, split
+from .dataset import encode_entries
 from .errors import (
     ConfigError,
     ExperimentError,
@@ -44,12 +44,12 @@ from .harness import (
     ExperimentConfig,
     _csv_bytes,
     _lexicon_stages,
-    _resolve_default_class,
     emit_frequency_table,
     expand_grid,
     load_config,
     require_file,
     run_experiment,
+    split_lexicon,
 )
 from .hybrid import HybridConfig, hybrid_decide_batch
 from .phonology import default_feature_table, load_feature_table
@@ -96,19 +96,6 @@ def _load_table(config: ExperimentConfig):
         return default_feature_table()
     require_file(config.feature_table, "feature table")
     return load_feature_table(config.feature_table)
-
-
-def _split(config: ExperimentConfig, table, non_compound):
-    default_class = _resolve_default_class(non_compound, config.default_class)
-    return split(
-        non_compound,
-        table,
-        fraction=config.split_fraction,
-        seed=config.split_seed,
-        slots=config.slots,
-        stratify=config.stratify,
-        default_class=default_class,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -166,7 +153,7 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"--model-out directory does not exist: {out_path.parent}")
     table = _load_table(config)
     *_, non_compound = _lexicon_stages(config, table)
-    data = _split(config, table, non_compound)
+    data = split_lexicon(config, table, non_compound)
     train_set = data.train_no_default if args.no_default else data.train
     metadata = {
         "train_size": len(train_set),
@@ -209,7 +196,7 @@ def _cmd_evaluate(args) -> int:
             f"{width} ({config.slots} slots x {table.feature_count} features)"
         )
     *_, non_compound = _lexicon_stages(config, table)
-    data = _split(config, table, non_compound)
+    data = split_lexicon(config, table, non_compound)
     eval_set = data.test
     vectors = [n.vector for n in eval_set]
     if args.hybrid_t is not None:

@@ -11,7 +11,6 @@ copy with the default (+s) class removed.
 
 from __future__ import annotations
 
-import io
 from collections import Counter
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .phonology import (
     PluralClass,
     _read_utf8,
     derive_plural_class,
-    encode_word,
+    encode_words,
     parse_phonemes,
 )
 
@@ -61,43 +60,47 @@ def ingest(path, table: FeatureTable) -> list[LexiconEntry]:
 
     Every phoneme symbol (singular and plural) must be present in the
     feature table.  ``source_id`` is the orthography, suffixed with ``#k``
-    for repeated spellings so that identifiers stay unique.
+    for repeated spellings so that identifiers stay unique.  Equal classes
+    are one object, so later dict and Counter lookups match by identity.
     """
     text = _read_utf8(path, LexiconFormatError)
+    symbols = frozenset(table.entries)
     entries: list[LexiconEntry] = []
-    seen: Counter[str] = Counter()
+    seen: dict[str, int] = {}
+    classes: dict[PluralClass, PluralClass] = {}
     # universal newlines, as a text-mode file gives them
-    with io.StringIO(text, newline=None) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            cells = line.split("\t")
-            if len(cells) != 3:
-                raise LexiconFormatError(
-                    f"expected 3 tab-separated columns, got {len(cells)}", line_number=lineno
-                )
-            orth, sing_text, plur_text = (c.strip() for c in cells)
-            singular = parse_phonemes(sing_text)
-            plural = parse_phonemes(plur_text)
-            if not orth or not singular or not plural:
-                raise LexiconFormatError("empty orthography or phoneme field", line_number=lineno)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        head = line.lstrip()
+        if not head or head[0] == "#":
+            continue
+        cells = line.split("\t")
+        if len(cells) != 3:
+            raise LexiconFormatError(
+                f"expected 3 tab-separated columns, got {len(cells)}", line_number=lineno
+            )
+        orth = cells[0].strip()
+        singular = parse_phonemes(cells[1])
+        plural = parse_phonemes(cells[2])
+        if not orth or not singular or not plural:
+            raise LexiconFormatError("empty orthography or phoneme field", line_number=lineno)
+        if not (symbols.issuperset(singular) and symbols.issuperset(plural)):
             try:
                 table.check_word(singular, context=f"singular of {orth!r}")
                 table.check_word(plural, context=f"plural of {orth!r}")
             except UnknownPhonemeError as exc:
                 raise LexiconFormatError(str(exc), line_number=lineno) from exc
-            seen[orth] += 1
-            source_id = orth if seen[orth] == 1 else f"{orth}#{seen[orth]}"
-            entries.append(
-                LexiconEntry(
-                    orthography=orth,
-                    singular=singular,
-                    plural=plural,
-                    derived_class=derive_plural_class(singular, plural),
-                    source_id=source_id,
-                )
+        k = seen[orth] = seen.get(orth, 0) + 1
+        cls = derive_plural_class(singular, plural)
+        entries.append(
+            LexiconEntry(
+                orthography=orth,
+                singular=singular,
+                plural=plural,
+                derived_class=classes.setdefault(cls, cls),
+                source_id=orth if k == 1 else f"{orth}#{k}",
             )
+        )
     if not entries:
         raise LexiconFormatError(f"{path}: no entries (the lexicon is empty or only comments)")
     return entries
@@ -172,13 +175,11 @@ def remove_compounds(
 def encode_entries(
     entries: list[LexiconEntry], table: FeatureTable, slots: int = DEFAULT_SLOTS
 ) -> list[EncodedNoun]:
+    """EncodedNouns whose vectors are rows of one encode_words array."""
+    X = encode_words([e.singular for e in entries], table, slots=slots)
     return [
-        EncodedNoun(
-            vector=encode_word(e.singular, table, slots=slots),
-            label=e.derived_class,
-            source_id=e.source_id,
-        )
-        for e in entries
+        EncodedNoun(vector=x, label=e.derived_class, source_id=e.source_id)
+        for x, e in zip(X, entries)
     ]
 
 
@@ -224,8 +225,8 @@ def split(
         train_entries = [entries[i] for i in order[:cut]]
         test_entries = [entries[i] for i in order[cut:]]
 
-    train = encode_entries(train_entries, table, slots=slots)
-    test = encode_entries(test_entries, table, slots=slots)
+    encoded = encode_entries(train_entries + test_entries, table, slots=slots)
+    train, test = encoded[: len(train_entries)], encoded[len(train_entries) :]
     train_no_default = [n for n in train if n.label != default_class]
     return DataSplit(
         train=train, test=test, train_no_default=train_no_default, default_class=default_class

@@ -37,7 +37,6 @@ from .classifiers import (
 from .dataset import (
     DataSplit,
     apply_exclusions,
-    encode_entries,
     filter_by_type_frequency,
     ingest,
     load_exclusion_list,
@@ -45,7 +44,7 @@ from .dataset import (
     split,
 )
 from .hybrid import HybridConfig, grid_search_s_t, threshold_sweep
-from .phonology import DEFAULT_SLOTS, default_feature_table, load_feature_table
+from .phonology import DEFAULT_SLOTS, default_feature_table, encode_words, load_feature_table
 
 DEFAULT_NN = {
     "t_grid": {"start": 0.0, "stop": 10.0, "step": 0.05},
@@ -358,15 +357,36 @@ def _lexicon_stages(config: ExperimentConfig, table):
     return n_ingested, len(entries), kept, discarded, non_compound
 
 
-def _resolve_default_class(entries, name: str):
+def split_lexicon(config: ExperimentConfig, table, entries) -> DataSplit:
+    """The configured train/test split of ``entries``, run as stage 'split'
+    for run_experiment and the CLI; a default class that no entry has is a
+    config error."""
+    return _stage("split", _split_lexicon, config, table, entries)
+
+
+def _split_lexicon(config: ExperimentConfig, table, entries) -> DataSplit:
     present = {}
-    for e in entries:
-        present.setdefault(str(e.derived_class), e.derived_class)
-    if name not in present:
+    for cls in dict.fromkeys(e.derived_class for e in entries):
+        present.setdefault(str(cls), cls)
+    if config.default_class not in present:
         raise ConfigError(
-            f"default class {name!r} not among dataset classes {sorted(present)}"
+            f"default class {config.default_class!r} not among dataset classes {sorted(present)}"
         )
-    return present[name]
+    return split(
+        entries,
+        table,
+        fraction=config.split_fraction,
+        seed=config.split_seed,
+        slots=config.slots,
+        stratify=config.stratify,
+        default_class=present[config.default_class],
+    )
+
+
+def _leave_one_out(entries, table, slots: int) -> float:
+    # the memory holds the one gathered matrix as it is: no second copy
+    X = encode_words([e.singular for e in entries], table, slots)
+    return nn_leave_one_out(ExemplarMemory.from_pairs(X, [e.derived_class for e in entries]))
 
 
 def _selection_sets(config: ExperimentConfig, data: DataSplit):
@@ -537,28 +557,16 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> Report:
     )
     discarded_classes = sorted({str(e.derived_class) for e in discarded})
     frequency_rows = emit_frequency_table(kept)
-    default_class = _resolve_default_class(non_compound, config.default_class)
-    data = _stage(
-        "split",
-        split,
-        non_compound,
-        table,
-        fraction=config.split_fraction,
-        seed=config.split_seed,
-        slots=config.slots,
-        stratify=config.stratify,
-        default_class=default_class,
-    )
+    data = split_lexicon(config, table, non_compound)
     outdir = Path(output_dir if output_dir is not None else config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     loo = None
     if "nn" in config.classifiers and config.nn.get("leave_one_out"):
-        encoded_all = encode_entries(kept, table, slots=config.slots)
         loo = {
             "set": "post-frequency-filter",
-            "size": len(encoded_all),
-            "accuracy": _stage("leave-one-out", nn_leave_one_out, encoded_all),
+            "size": len(kept),
+            "accuracy": _stage("leave-one-out", _leave_one_out, kept, table, config.slots),
         }
 
     selection = _selection_sets(config, data)
@@ -589,7 +597,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> Report:
             "train": len(data.train),
             "test": len(data.test),
             "train_no_default": len(data.train_no_default),
-            "default_class": str(default_class),
+            "default_class": str(data.default_class),
         },
         "frequency_table": [
             {"class": name, "count": count, "percent": percent}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -153,24 +154,37 @@ def encode_word(word: Phonemes, table: FeatureTable, slots: int = DEFAULT_SLOTS)
 
     Words shorter than ``slots`` are zero-padded on the left; words longer
     than ``slots`` keep their rightmost ``slots`` phonemes, since endings
-    carry the plural-relevant material.
+    carry the plural-relevant material.  One row of encode_words.
+    """
+    return encode_words([word], table, slots)[0]
+
+
+def encode_words(words, table: FeatureTable, slots: int = DEFAULT_SLOTS) -> np.ndarray:
+    """(len(words), slots * feature_count) array, row i encoding words[i].
+
+    One gather: each kept phoneme becomes a row index into the table's
+    feature matrix (row 0 all zeros, for padding), so every vector holds
+    copies of table values, exactly as a per-slot fill would.
     """
     if slots < 1:
         raise ValueError("slots must be a positive integer")
-    n_feat = table.feature_count
-    out = np.zeros(slots * n_feat, dtype=np.float64)
-    tail = word[-slots:] if len(word) > slots else word
-    offset = slots - len(tail)
-    for i, symbol in enumerate(tail):
-        try:
-            vec = table.entries[symbol]
-        except KeyError:
-            # report the position in the original word, not the kept tail
-            pos = i + (len(word) - len(tail))
-            raise UnknownPhonemeError(symbol, position=pos) from None
-        start = (offset + i) * n_feat
-        out[start : start + n_feat] = vec
-    return out
+    rows = {symbol: i for i, symbol in enumerate(table.entries, start=1)}
+    matrix = np.vstack([np.zeros(table.feature_count), *table.entries.values()])
+    tails = [word[-slots:] for word in words]
+    lengths = np.fromiter(map(len, tails), dtype=np.intp, count=len(tails))
+    try:
+        flat = np.fromiter(
+            map(rows.__getitem__, chain.from_iterable(tails)), dtype=np.intp, count=lengths.sum()
+        )
+    except KeyError as exc:
+        # the first unknown symbol of the first tail holding one; its
+        # position counts from the start of the whole word
+        symbol = exc.args[0]
+        word, tail = next((w, t) for w, t in zip(words, tails) if symbol in t)
+        raise UnknownPhonemeError(symbol, tail.index(symbol) + len(word) - len(tail)) from None
+    codes = np.zeros((len(tails), slots), dtype=np.intp)
+    codes[np.arange(slots) >= slots - lengths[:, None]] = flat
+    return matrix[codes].reshape(len(tails), slots * table.feature_count)
 
 
 # --------------------------------------------------------------------------
@@ -255,6 +269,11 @@ def derive_plural_class(singular: Phonemes, plural: Phonemes) -> PluralClass:
     """
     if not singular or not plural:
         raise ValueError("singular and plural must be non-empty phoneme sequences")
+    # the plain stem is the first suffix candidate, and a longer plural
+    # cannot be an identity or umlaut (fronting keeps the length)
+    n = len(singular)
+    if len(plural) > n and plural[:n] == singular:
+        return PluralClass(kind=SUFFIX, suffix=plural[n:])
 
     stems = [(singular, False)] + [(w, True) for w, _ in _umlaut_candidates(singular)]
 

@@ -30,7 +30,6 @@ from pluralbench.classifiers import (
     nn_leave_one_out,
 )
 from pluralbench.dataset import (
-    EncodedNoun,
     filter_by_type_frequency,
     ingest,
     remove_compounds,
@@ -57,13 +56,6 @@ def _finish(number: int, ok: bool, detail: str, elapsed: float, budget: float):
     print(line)
     record_criterion(line)
     assert status == "PASS", line
-
-
-def _nouns(X, labels):
-    return [
-        EncodedNoun(vector=np.asarray(x, dtype=np.float64), label=l, source_id=str(i))
-        for i, (x, l) in enumerate(zip(X, labels))
-    ]
 
 
 def test_criterion_1_probability_sums():
@@ -154,7 +146,7 @@ def test_criterion_3_nn_brute_force():
                 math.hypot(*(X[j] - X[i])) if j != i else math.inf for j in range(n)
             ]
             correct += labels[int(np.argmin(held))] == labels[i]
-        if nn_leave_one_out(_nouns(X, labels)) != correct / n:
+        if nn_leave_one_out(ExemplarMemory.from_pairs(X, labels)) != correct / n:
             mismatches += 1
         sets += 1
     elapsed = time.perf_counter() - start

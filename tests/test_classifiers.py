@@ -173,9 +173,9 @@ def test_leave_one_out_matches_brute_force():
                 math.hypot(*(X[j] - X[i])) if j != i else math.inf for j in range(n)
             ]
             correct += labels[int(np.argmin(dists))] == labels[i]
-        assert nn_leave_one_out(_nouns(X, labels)) == pytest.approx(correct / n)
+        assert nn_leave_one_out(ExemplarMemory.from_pairs(X, labels)) == pytest.approx(correct / n)
     with pytest.raises(ValueError):
-        nn_leave_one_out(_nouns(X[:1], labels[:1]))
+        nn_leave_one_out(ExemplarMemory.from_pairs(X[:1], labels[:1]))
 
 
 def _hamming_nn_oracle(X, labels, q, skip=None):
@@ -201,7 +201,7 @@ def test_nn_exact_ties_across_unequal_classes_on_binary_vectors():
     # leave-one-out: items 0 and 3 each tie an "a" and a "z" neighbour and
     # are right only if "z" wins; item 1 ("a") is nearest to a "z"
     X = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 1]], dtype=np.float64)
-    assert nn_leave_one_out(_nouns(X, ["z", "a", "z", "z"])) == 0.75
+    assert nn_leave_one_out(ExemplarMemory.from_pairs(X, ["z", "a", "z", "z"])) == 0.75
 
     rng = np.random.default_rng(40)
     X = rng.integers(0, 2, size=(120, 7)).astype(np.float64)
@@ -256,7 +256,7 @@ def test_leave_one_out_crosses_block_edge_against_oracle(block):
     X, labels, oracle = _block_edge_case()
     _assert_leave_one_out_kernels(ExemplarMemory.from_pairs(X, labels), block, oracle)
     correct = sum(label == labels[i] for i, (label, _) in enumerate(oracle))
-    assert nn_leave_one_out(_nouns(X, labels)) == correct / len(X)
+    assert nn_leave_one_out(ExemplarMemory.from_pairs(X, labels)) == correct / len(X)
 
 
 # --------------------------------------------------------------------------
@@ -534,7 +534,7 @@ def test_integer_path_leave_one_out_matches_oracle(high, block):
     _assert_leave_one_out_kernels(ExemplarMemory.from_pairs(X, labels), block, oracle)
     if block == _INTEGER_LOO_N:
         correct = sum(label == labels[i] for i, (label, _) in enumerate(oracle))
-        assert nn_leave_one_out(_nouns(X, labels)) == correct / len(X)
+        assert nn_leave_one_out(ExemplarMemory.from_pairs(X, labels)) == correct / len(X)
 
 
 @pytest.mark.parametrize("peak, panels", [(1448, True), (1449, False)])
@@ -557,7 +557,8 @@ def test_leave_one_out_panel_key_bound(monkeypatch, peak, panels):
 
     for kernel in (_leave_one_out_panels, _nearest):
         monkeypatch.setattr(classifiers, kernel.__name__, spy(kernel))
-    assert nn_leave_one_out(_nouns(X, labels)) == 0.0  # a and b are each other's neighbour
+    # a and b are each other's neighbour
+    assert nn_leave_one_out(ExemplarMemory.from_pairs(X, labels)) == 0.0
     assert taken == ["_leave_one_out_panels" if panels else "_nearest"]
     ranks, best = _float64_leave_one_out(memory)
     assert ranks.tolist() == [1, 0] and best.tolist() == [(2 * peak) ** 2] * 2
@@ -657,7 +658,20 @@ def test_integer_path_bound_keeps_large_values_on_float64():
     correct = sum(
         _integer_nn_oracle(X, labels, X[i], skip=i)[0] == labels[i] for i in range(len(X))
     )
-    assert nn_leave_one_out(_nouns(X, labels)) == correct / len(X)
+    assert nn_leave_one_out(ExemplarMemory.from_pairs(X, labels)) == correct / len(X)
+
+
+def test_integer_path_predicates_refuse_huge_values_without_overflow():
+    # squaring 1e200 on Python floats raises OverflowError; the bounds are
+    # tested before squaring
+    X = np.full((3, 2), 1e200)
+    assert not _exact_in_float32(X, X)
+    assert not _exact_in_float32(X, np.zeros((1, 2)))
+    assert not _panel_keys_exact(X, 2)
+    # the largest values the float32 paths take are still taken
+    assert _exact_in_float32(np.array([[2047.0]]), np.array([[2048.0]]))
+    assert _panel_keys_exact(np.array([[0.0], [1023.0]]), 1)
+    assert not _panel_keys_exact(np.array([[0.0], [2048.0]]), 1)
 
 
 @pytest.mark.parametrize("block", [1, 3, 9, 10, 11])
@@ -688,7 +702,7 @@ def test_integer_path_nn_property(data):
     correct = sum(
         _integer_nn_oracle(X, labels, X[i], skip=i)[0] == labels[i] for i in range(len(X))
     )
-    assert nn_leave_one_out(_nouns(X, labels)) == correct / len(X)
+    assert nn_leave_one_out(ExemplarMemory.from_pairs(X, labels)) == correct / len(X)
 
 
 # --------------------------------------------------------------------------

@@ -459,6 +459,35 @@ def test_exit_code_2_model_header_or_values_wrong(tmp_path, capsys, toy_models, 
     assert not out.exists()
 
 
+def test_evaluate_model_with_huge_finite_vectors(tmp_path, capsys, toy_models):
+    # every exemplar at 1e200: all distances tie at inf, and each query goes
+    # to the most frequent class instead of overflowing in the float32 test
+    doc = json.loads(Path(toy_models["nn"]).read_text(encoding="utf-8"))
+    doc["vectors"] = _packed(np.full(_unpacked(doc["vectors"]).shape, 1e200))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["evaluate", str(model), "--lexicon", TOY, "--output-dir", str(out)]) == 0
+    assert "accuracy: 0.1748" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "report"])
+def test_exit_code_1_default_class_absent_names_the_split_stage(
+    tmp_path, capsys, toy_models, command
+):
+    argv = {
+        "train": ["train", TOY, "--classifier", "nn", "--model-out", str(tmp_path / "m.json")],
+        "evaluate": ["evaluate", toy_models["nn"], "--lexicon", TOY],
+        "report": ["report", TOY, "--config", _write_config(tmp_path)],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--default-class", "+qq", "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'split' failed: default class '+qq' not among dataset classes" in err
+    assert "internal error" not in err
+    assert not out.exists() and not (tmp_path / "m.json").exists()
+
+
 def test_exit_code_3_internal_errors(tmp_path, capsys, monkeypatch):
     # an unexpected failure inside a stage is neither a config nor a data error
     def fail(*args, **kwargs):

@@ -53,6 +53,13 @@ IDENT = PluralClass(kind="identity")
 # --------------------------------------------------------------------------
 
 
+def test_ingest_interns_equal_classes(toy_entries):
+    # one object per class, so dict and Counter lookups match by identity
+    first = {}
+    for e in toy_entries:
+        assert first.setdefault(e.derived_class, e.derived_class) is e.derived_class
+
+
 def test_ingest_toy_lexicon(toy_entries):
     assert len(toy_entries) == 212
     ids = [e.source_id for e in toy_entries]

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from pluralbench import harness
 from pluralbench.dataset import ingest, remove_compounds, split
 from pluralbench.errors import ConfigError, ExperimentError, LexiconFormatError
 from pluralbench.harness import (
@@ -304,13 +306,50 @@ def test_validation_selection_partitions_the_training_half(tmp_path):
     assert len(memory) + len(validation) == len(data.train)
 
 
+def test_leave_one_out_stage_holds_one_copy_of_the_vectors(tmp_path, monkeypatch):
+    """From the end of the split to hyperparameter selection, run_experiment
+    encodes the filtered lexicon and scores leave-one-out; its traced peak
+    stays below one float64 copy of the vectors plus the panel kernel's
+    float32 work (items, one row block, one panel) and a quarter more for
+    BLAS and small arrays.  A second copy of the vectors exceeds it."""
+    marks = {}
+    real_split, real_selection = harness.split, harness._selection_sets
+
+    def split_then_reset_peak(*args, **kwargs):
+        data = real_split(*args, **kwargs)
+        tracemalloc.reset_peak()
+        marks["start"] = tracemalloc.get_traced_memory()[0]
+        return data
+
+    def read_peak_then_select(*args):
+        marks["peak"] = tracemalloc.get_traced_memory()[1]
+        return real_selection(*args)
+
+    monkeypatch.setattr(harness, "split", split_then_reset_peak)
+    monkeypatch.setattr(harness, "_selection_sets", read_peak_then_select)
+    config = _small_config(tmp_path, classifiers=["nn"])
+    tracemalloc.start()
+    try:
+        report = run_experiment(config)
+    finally:
+        tracemalloc.stop()
+    n = report.payload["leave_one_out"]["size"]
+    dim = config.slots * default_feature_table().feature_count
+    block = min(n, 256)
+    kernel = 4 * ((n + block) * (dim + 2) + block * n)
+    assert marks["peak"] - marks["start"] < 8 * n * dim + 1.25 * kernel
+
+
 def test_run_experiment_config_errors(tmp_path):
     config = _small_config(tmp_path, lexicon=str(tmp_path / "absent.tsv"))
     with pytest.raises(ConfigError):
         run_experiment(config)
+    # an absent default class is a config error of the 'split' stage
     config = _small_config(tmp_path, default_class="+qq")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ExperimentError) as err:
         run_experiment(config)
+    assert err.value.stage == "split"
+    assert isinstance(err.value.__cause__, ConfigError)
 
 
 def test_run_experiment_wraps_data_errors(tmp_path):
